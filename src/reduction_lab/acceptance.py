@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import reduction_lab
+
 from .config import RunConfig
 from .dynamics import NoisePath, TimeGrid, simulate_sme
 from .errors import ReductionLabError
@@ -362,7 +364,13 @@ def criterion_internal_consistency(n_instances: int = 100) -> CriterionResult:
 
 
 def _run_cli(args, threads, cwd):
+    # the child runs from cwd, so a relative PYTHONPATH would not find the
+    # package: put this package's own source root first, as an absolute path
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(reduction_lab.__file__)))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source_root, env.get("PYTHONPATH")) if p
+    )
     env["REDUCTION_LAB_THREADS"] = str(threads)
     proc = subprocess.run(
         [sys.executable, "-m", "reduction_lab.cli", *args],
@@ -463,13 +471,19 @@ def run_all() -> list:
     results.append(born)
     results.append(criterion_terminal_moments(summary_b))
 
+    started = time.perf_counter()
     summary_a = ensemble_a()
-    results.append(criterion_variance_decay(summary_a))
+    variance = criterion_variance_decay(summary_a)
+    variance.runtime_s += time.perf_counter() - started   # charge the run to #4
+    results.append(variance)
     results.append(criterion_lindblad_mean(summary_a))
     results.append(criterion_decoherence(summary_b))
 
+    started = time.perf_counter()
     summary_c = ensemble_c()
-    results.append(criterion_luders(summary_c))
+    luders = criterion_luders(summary_c)
+    luders.runtime_s += time.perf_counter() - started     # charge the run to #7
+    results.append(luders)
 
     results.append(criterion_internal_consistency())
     results.append(criterion_determinism())

@@ -20,6 +20,11 @@ from .spectral import DEFAULT_TOLS, ToleranceSet, hermiticity_defect
 
 MODES = ("sde", "closed-form", "both")
 
+# Largest accepted grid, in time points. Every command keeps O(points)
+# state (an ensemble keeps about 20 float64 sums per point), so a grid
+# past this is rejected before anything is allocated for it.
+MAX_GRID_POINTS = 1_000_001
+
 _TOP_KEYS = {
     "instance", "hamiltonian", "rho0", "sigma", "hbar", "grid", "n_paths",
     "seed", "mode", "checks", "check_times", "output", "tolerances",
@@ -68,6 +73,17 @@ def _matrix_to_node(a: np.ndarray) -> dict:
     return node
 
 
+def check_grid_size(t_max: float, dt: float) -> None:
+    """Reject a grid of more than MAX_GRID_POINTS points, counted as
+    TimeGrid.from_duration counts them."""
+    steps = t_max / dt
+    if not (np.isfinite(steps) and round(steps) < MAX_GRID_POINTS):
+        raise ValidationError(
+            f"grid.t_max / grid.dt = {t_max:g} / {dt:g} asks for {steps:.4g} steps; "
+            f"at most {MAX_GRID_POINTS} grid points are allowed"
+        )
+
+
 def _positive(value, name, strict=True):
     try:
         value = float(value)
@@ -111,6 +127,7 @@ class RunConfig:
     instance: str | None = None
 
     def grid(self, t_max: float) -> TimeGrid:
+        check_grid_size(t_max, self.dt)
         return TimeGrid.from_duration(t_max, self.dt)
 
     def to_dict(self) -> dict:
@@ -236,6 +253,7 @@ def parse_config(text: str) -> RunConfig:
             cfg["dt"] = _positive(raw["grid"]["dt"], "grid.dt")
         if "t_max" in raw["grid"]:
             cfg["t_max"] = _positive(raw["grid"]["t_max"], "grid.t_max")
+            check_grid_size(cfg["t_max"], cfg.get("dt", RunConfig.dt))
     if "n_paths" in raw:
         n = raw["n_paths"]
         if not isinstance(n, int) or n < 1:
@@ -292,5 +310,7 @@ def parse_config(text: str) -> RunConfig:
             cfg["sampler_bias"] = tuple(
                 _positive(b, "sampler_bias", strict=False) for b in bias
             )
+            if not sum(cfg["sampler_bias"]) > 0:
+                raise ValidationError("sampler_bias: at least one weight must be > 0")
 
     return RunConfig(**cfg)

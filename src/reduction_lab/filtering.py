@@ -83,22 +83,49 @@ def _level_probabilities(rho0, spec: SpectralDecomposition) -> np.ndarray:
 
 
 def _log_masses(log_p, energies, sigma, t, xi):
-    """log p_r + sigma E_r xi - sigma^2 E_r^2 t / 2, broadcast over (t, xi)."""
+    """log p_r + sigma E_r xi - sigma^2 E_r^2 t / 2, broadcast over (t, xi).
+
+    The level axis comes first, so each level is one contiguous slab; numpy
+    is slow on a short trailing axis.
+    """
     t = np.asarray(t, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    return (
-        log_p
-        + sigma * np.multiply.outer(xi, energies)
-        - 0.5 * sigma**2 * np.multiply.outer(t, energies**2)
-    )
+    drag = 0.5 * sigma**2 * np.multiply.outer(energies**2, t)
+    out = np.empty(np.shape(energies) + np.broadcast_shapes(t.shape, xi.shape))
+    for r in range(len(out)):
+        slab = out[r, ...]
+        np.multiply(xi, energies[r], out=slab)
+        slab *= sigma
+        slab += log_p[r]
+        slab -= drag[r]
+    return out
+
+
+def _levels_last(a: np.ndarray) -> np.ndarray:
+    """Contiguous copy with the leading level (or pair) axis moved last."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
 def _normalize_log(logw):
-    """Return (probabilities, log normalizer) with all exponentials <= 1."""
-    top = np.max(logw, axis=-1, keepdims=True)
+    """Return (probabilities, log normalizer) over the leading level axis,
+    with all exponentials <= 1.
+
+    The max and the sum run as loops over the levels. That gives the bits
+    of a reduction over a trailing level axis: the max is exact, and numpy
+    adds fewer than 8 terms left to right.
+    """
+    top = logw[0, ...].copy()
+    for level in logw[1:]:
+        np.maximum(top, level, out=top)
     w = np.exp(logw - top)
-    z = np.sum(w, axis=-1, keepdims=True)
-    return w / z, np.squeeze(top + np.log(z), axis=-1)
+    if len(w) < 8:
+        z = w[0, ...].copy()
+        for level in w[1:]:
+            z += level
+    else:
+        z = np.sum(_levels_last(w), axis=-1)
+    w /= z
+    return w, top + np.log(z)
 
 
 def sample_terminal_energy(
@@ -214,7 +241,7 @@ def recovered_brownian(
     times = path.grid.times()
     logw = _log_masses(log_p, spec.energies, sigma, times, path.xi)
     pi, _ = _normalize_log(logw)
-    h_path = pi @ spec.energies
+    h_path = _levels_last(pi) @ spec.energies
     w = np.empty_like(path.xi)
     w[0] = 0.0
     w[1:] = path.xi[1:] - sigma * path.grid.dt * np.cumsum(h_path[:-1])
@@ -418,12 +445,12 @@ class FilterModel:
         ) if self.pairs else np.zeros((0,) + self.rho0.shape, dtype=complex)
         self.r0_norm = np.array([frobenius_norm(b) for b in self.r0])
 
-    def log_masses(self, t, xi) -> np.ndarray:
-        return _log_masses(self.log_p, self.energies, self.sigma, t, xi)
-
     def posterior(self, t, xi):
-        """(pi, log normalizer) over trailing level axis."""
-        return _normalize_log(self.log_masses(t, xi))
+        """(pi, log normalizer), with the level axis of pi last."""
+        pi, log_z = _normalize_log(
+            _log_masses(self.log_p, self.energies, self.sigma, t, xi)
+        )
+        return _levels_last(pi), log_z
 
     def phi(self, t, xi, log_z=None) -> np.ndarray:
         """Phi_nm over the trailing pair axis (n < m pairs)."""
@@ -431,12 +458,17 @@ class FilterModel:
             _, log_z = self.posterior(t, xi)
         t = np.asarray(t, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        log_phi = (
-            0.5 * self.sigma * np.multiply.outer(xi, self.pair_sum)
-            - 0.25 * self.sigma**2 * np.multiply.outer(t, self.pair_sumsq)
-            - log_z[..., None]
+        drag = 0.25 * self.sigma**2 * np.multiply.outer(self.pair_sumsq, t)
+        log_phi = np.empty(
+            (len(self.pairs),) + np.broadcast_shapes(t.shape, xi.shape, np.shape(log_z))
         )
-        return np.exp(log_phi)
+        for slot in range(len(log_phi)):
+            slab = log_phi[slot, ...]
+            np.multiply(xi, self.pair_sum[slot], out=slab)
+            slab *= 0.5 * self.sigma
+            slab -= drag[slot]
+            slab -= log_z
+        return _levels_last(np.exp(log_phi, out=log_phi))
 
     def energy(self, pi) -> np.ndarray:
         return pi @ self.energies

@@ -8,6 +8,12 @@ fixed-size chunks whose partial sums are reduced in chunk order, so the
 summary is bitwise identical for a fixed seed regardless of how many
 worker threads are used (REDUCTION_LAB_THREADS caps the pool).
 
+Each chunk sweeps the grid in blocks of BLOCK time points, so a worker
+holds O(CHUNK x BLOCK x levels) floats at a time; on top of that a run
+keeps O(T) per-time sums, one set per chunk in flight plus the total.
+Memory does not grow with n_paths x T, and neither BLOCK nor the thread
+count changes a bit of the output.
+
 Every analytic claim about the dynamics gets a named check with a
 pass/fail verdict at ci_multiplier standard errors. The config carries two
 deliberate corruption fixtures (drift_multiplier, sampler_bias) so the
@@ -16,12 +22,15 @@ test suite can prove the checks fail when the dynamics are wrong.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_grid_size
 from .dynamics import TimeGrid, integrate_lindblad, variance_bound
 from .errors import ReductionLabError, ValidationError
 from .filtering import FilterModel
@@ -34,6 +43,7 @@ from .spectral import (
 )
 
 CHUNK = 512          # fixed so that chunking never depends on thread count
+BLOCK = 256          # time points per block within a chunk
 CHECK_NAMES = ("born", "martingales", "variance_decay", "decoherence", "luders")
 
 
@@ -75,6 +85,9 @@ class EnsembleConfig:
             raise ValidationError(f"unknown checks: {sorted(unknown)}")
         if self.ci_multiplier <= 0:
             raise ValidationError("ci_multiplier must be positive")
+        check_grid_size(self.grid.t_max - self.grid.t0, self.grid.dt)
+        if self.sampler_bias is not None and not np.clip(self.sampler_bias, 0.0, None).sum() > 0:
+            raise ValidationError("sampler_bias: at least one weight must be > 0")
 
 
 @dataclass(frozen=True)
@@ -184,10 +197,47 @@ def _trace_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
+def _path_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading path axis, adding the paths in order.
+
+    numpy adds the rows of a (paths, k) array one after another, but
+    switches to pairwise summation when k is 1; a single column is
+    therefore accumulated explicitly, so that block edges never change bits.
+    """
+    flat = a.reshape(len(a), math.prod(a.shape[1:]))
+    if flat.shape[1] == 1:
+        return np.add.accumulate(flat[:, 0])[-1:].reshape(a.shape[1:])
+    return flat.sum(axis=0).reshape(a.shape[1:])
+
+
+def _series(model: FilterModel, pi: np.ndarray, phi: np.ndarray):
+    """H, V and purity of (paths, times, .) blocks, computed on flattened
+    rows. numpy takes a lone row through a dot product instead of the
+    matrix-vector kernel and rounds differently, so one row is doubled."""
+    shape = pi.shape[:-1]
+    rows = pi.reshape(-1, pi.shape[-1])
+    pair_rows = phi.reshape(-1, phi.shape[-1])
+    if len(rows) == 1:
+        rows = np.concatenate([rows, rows])
+        pair_rows = np.concatenate([pair_rows, pair_rows])
+    n = math.prod(shape)
+    return (
+        model.energy(rows)[:n].reshape(shape),
+        model.variance(rows)[:n].reshape(shape),
+        model.purity(rows, pair_rows)[:n].reshape(shape),
+    )
+
+
 def _run_chunk(cfg: EnsembleConfig, model: FilterModel, times, check_idx, lo, hi):
-    """Simulate paths [lo, hi) and return their partial sums."""
+    """Simulate paths [lo, hi) and return their partial sums.
+
+    The chunk sweeps the grid in blocks of BLOCK time points. Each path
+    keeps its generator across blocks and B_t is carried from one block
+    to the next, so every value matches a single pass over the whole grid.
+    """
     c = hi - lo
-    n_steps = len(times) - 1
+    n_times = len(times)
+    d, n_pairs, dim = model.spec.d, len(model.pairs), model.spec.dim
     sqrt_dt = np.sqrt(cfg.grid.dt)
     if cfg.sampler_bias is not None:
         draw_p = np.clip(np.asarray(cfg.sampler_bias, dtype=float), 0.0, None)
@@ -196,59 +246,86 @@ def _run_chunk(cfg: EnsembleConfig, model: FilterModel, times, check_idx, lo, hi
     cumulative = np.cumsum(draw_p / draw_p.sum())
 
     levels = np.empty(c, dtype=np.int64)
-    b = np.empty((c, n_steps + 1))
-    b[:, 0] = 0.0
+    rngs = []
     for j in range(c):
         rng = _path_rng(cfg.base_seed, lo + j)
         levels[j] = np.searchsorted(cumulative, rng.random(), side="right")
-        b[j, 1:] = np.cumsum(rng.standard_normal(n_steps) * sqrt_dt)
-
+        rngs.append(rng)
     drift = cfg.drift_multiplier * cfg.sigma * model.energies[levels]
-    xi = drift[:, None] * times[None, :] + b
 
-    pi, log_z = model.posterior(times, xi)          # (c, T, D)
-    phi = model.phi(times, xi, log_z)               # (c, T, P)
-    h_path = model.energy(pi)
-    v_path = model.variance(pi)
-    purity = model.purity(pi, phi)
+    part = {"path_range": (lo, hi)}
+    for name, width in (("h", ()), ("v", ()), ("purity", ()),
+                        ("pi", (d,)), ("phi", (n_pairs,))):
+        part[name] = np.zeros((n_times,) + width)
+        part[name + "_sq"] = np.zeros((n_times,) + width)
+    part["v_cross"] = np.zeros(n_times - 1)
+    check_pi = np.empty((c, len(check_idx), d))
+    check_phi = np.empty((c, len(check_idx), n_pairs))
 
+    noise = np.empty((c, BLOCK))
+    b_last = np.zeros(c)
+    v_last = None
+    for start in range(0, n_times, BLOCK):
+        stop = min(start + BLOCK, n_times)
+        t = times[start:stop]
+        # B_0 = 0 takes the first slot of the first block; every later block
+        # adds its first increment to the carried B_t, as one cumsum would
+        first = 1 if start == 0 else 0
+        noise[:, 0] = 0.0
+        for j, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[j, first:stop - start])
+        b = noise[:, :stop - start]
+        b *= sqrt_dt
+        b[:, 0] += b_last
+        np.cumsum(b, axis=1, out=b)
+        b_last = b[:, -1].copy()
+
+        xi = drift[:, None] * t[None, :] + b
+        pi, log_z = model.posterior(t, xi)          # (c, block, D)
+        phi = model.phi(t, xi, log_z)               # (c, block, P)
+        h_path, v_path, purity = _series(model, pi, phi)
+
+        span = slice(start, stop)
+        for name, values in (("h", h_path), ("v", v_path), ("purity", purity),
+                             ("pi", pi), ("phi", phi)):
+            part[name][span] = _path_sum(values)
+            part[name + "_sq"][span] = _path_sum(values**2)
+        # V_k V_{k+1} pairs, the first one reaching back into the last block
+        joined = v_path if v_last is None else np.concatenate(
+            [v_last[:, None], v_path], axis=1
+        )
+        part["v_cross"][max(start - 1, 0):stop - 1] = _path_sum(joined[:, :-1] * joined[:, 1:])
+        v_last = v_path[:, -1].copy()
+
+        inside = (check_idx >= start) & (check_idx < stop)
+        check_pi[:, inside] = pi[:, check_idx[inside] - start]
+        check_phi[:, inside] = phi[:, check_idx[inside] - start]
+
+    # pi, phi and the series now hold the last block, which ends at t_max
     terminal_states = model.assemble(times[-1], pi[:, -1, :], phi[:, -1, :])
     targets = model.luders_stack[levels]
     dist = _trace_distance_batch(terminal_states, targets)
     pur_t = purity[:, -1]
 
-    part = {
-        "path_range": (lo, hi),
-        "h": h_path.sum(axis=0),
-        "h_sq": (h_path**2).sum(axis=0),
-        "v": v_path.sum(axis=0),
-        "v_sq": (v_path**2).sum(axis=0),
-        "v_cross": (v_path[:, :-1] * v_path[:, 1:]).sum(axis=0),
-        "purity": purity.sum(axis=0),
-        "purity_sq": (purity**2).sum(axis=0),
-        "pi": pi.sum(axis=0),
-        "pi_sq": (pi**2).sum(axis=0),
-        "phi": phi.sum(axis=0),
-        "phi_sq": (phi**2).sum(axis=0),
-        "born": np.bincount(np.argmax(pi[:, -1, :], axis=1), minlength=model.spec.d),
-        "luders_count": np.bincount(levels, minlength=model.spec.d),
-        "luders_dist": np.bincount(levels, weights=dist, minlength=model.spec.d),
-        "luders_dist_sq": np.bincount(levels, weights=dist**2, minlength=model.spec.d),
-        "luders_pur": np.bincount(levels, weights=pur_t, minlength=model.spec.d),
-        "luders_pur_sq": np.bincount(levels, weights=pur_t**2, minlength=model.spec.d),
+    part.update({
+        "born": np.bincount(np.argmax(pi[:, -1, :], axis=1), minlength=d),
+        "luders_count": np.bincount(levels, minlength=d),
+        "luders_dist": np.bincount(levels, weights=dist, minlength=d),
+        "luders_dist_sq": np.bincount(levels, weights=dist**2, minlength=d),
+        "luders_pur": np.bincount(levels, weights=pur_t, minlength=d),
+        "luders_pur_sq": np.bincount(levels, weights=pur_t**2, minlength=d),
         "h_terminal": h_path[:, -1].copy(),
-        "v_terminal": v_path[:, -1].copy(),
-    }
+        "v_terminal": v_last,
+    })
 
     if len(check_idx):
-        states = model.assemble(
-            times[check_idx], pi[:, check_idx, :], phi[:, check_idx, :]
-        )
+        # one assemble over all check times, in the shapes a single pass over
+        # the grid used, so the matrix products round the same way
+        states = model.assemble(times[check_idx], check_pi, check_phi)
         part["state_sum"] = states.sum(axis=0)
         part["state_sq_re"] = (states.real**2).sum(axis=0)
         part["state_sq_im"] = (states.imag**2).sum(axis=0)
     else:
-        dim = model.spec.dim
         part["state_sum"] = np.zeros((0, dim, dim), dtype=complex)
         part["state_sq_re"] = np.zeros((0, dim, dim))
         part["state_sq_im"] = np.zeros((0, dim, dim))
@@ -260,6 +337,8 @@ def thread_count() -> int:
     try:
         return max(1, int(raw))
     except ValueError:
+        print(f"warning: REDUCTION_LAB_THREADS={raw!r} is not an integer; "
+              "using 1 thread", file=sys.stderr)
         return 1
 
 
@@ -297,13 +376,15 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
 
     ranges = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
     workers = min(thread_count(), len(ranges))
+    # parts are folded in chunk order as they arrive; that order fixes the
+    # reduction order whatever the thread count
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk, ranges))
+            for part in pool.map(chunk, ranges):
+                acc.fold(part)
     else:
-        parts = [chunk(bounds) for bounds in ranges]
-    for part in parts:        # chunk order fixes the reduction order
-        acc.fold(part)
+        for bounds in ranges:
+            acc.fold(chunk(bounds))
 
     stderr_defined = n > 1
     summary = EnsembleSummary(

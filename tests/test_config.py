@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from reduction_lab.config import RunConfig, parse_config
+from reduction_lab.config import MAX_GRID_POINTS, RunConfig, parse_config
 from reduction_lab.errors import NotHermitian, ParseError, ValidationError
+from reduction_lab.filtering import default_horizon
 from reduction_lab.instances import two_level
+from reduction_lab.spectral import spectral_decompose
 
 MINIMAL = '{"instance": "two_level"}'
 
@@ -128,6 +130,30 @@ class TestRejection:
     def test_unknown_check_name(self):
         with pytest.raises(ValidationError, match="checks"):
             parse_config('{"instance": "two_level", "checks": ["spin"]}')
+
+    def test_oversized_grid_rejected(self):
+        with pytest.raises(ValidationError, match="grid.t_max / grid.dt"):
+            parse_config('{"instance": "two_level", "grid": {"t_max": 1e4, "dt": 1e-6}}')
+
+    def test_oversized_default_horizon_rejected(self):
+        # no t_max: a gap of 0.01 makes the collapse horizon 5e5, which is
+        # 5e8 steps at the default dt
+        cfg = parse_config(json.dumps({
+            "hamiltonian": {"eigenvalues": [0.0, 0.01]},
+            "rho0": {"real": [[0.5, 0.5], [0.5, 0.5]]},
+        }))
+        horizon = default_horizon(spectral_decompose(cfg.hamiltonian), cfg.rho0, cfg.sigma)
+        assert horizon / cfg.dt == pytest.approx(5e8)
+        with pytest.raises(ValidationError, match="grid.t_max / grid.dt"):
+            cfg.grid(horizon)
+
+    def test_largest_grid_accepted(self):
+        cfg = parse_config('{"instance": "two_level", "grid": {"t_max": 1000, "dt": 1e-3}}')
+        assert cfg.grid(cfg.t_max).n_steps + 1 == MAX_GRID_POINTS
+
+    def test_all_zero_sampler_bias_rejected(self):
+        with pytest.raises(ValidationError, match="sampler_bias"):
+            parse_config('{"instance": "two_level", "sampler_bias": [0, 0]}')
 
     def test_unknown_instance(self):
         with pytest.raises(ValidationError, match="instance"):

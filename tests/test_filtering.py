@@ -21,6 +21,7 @@ from reduction_lab import (
     validate_density,
 )
 from reduction_lab.errors import NonFiniteInput, SameLevel, ZeroProbabilitySubspace
+from reduction_lab.filtering import _normalize_log
 from reduction_lab.instances import three_level, two_level
 
 H2, RHO_A = two_level()
@@ -123,6 +124,23 @@ class TestFilterWeights:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             filter_weights(HALF, SPEC2, 1.0, np.inf, 0.0)
+
+
+class TestNormalizeLog:
+    @pytest.mark.parametrize("d", [2, 3, 7, 8, 9])
+    def test_matches_a_trailing_axis_reduction_bit_for_bit(self, d):
+        # the level loops must give exactly the bits of np.max / np.sum over
+        # a contiguous trailing level axis, for short and long level axes
+        rng = np.random.default_rng(d)
+        logw = rng.standard_normal((d, 40, 30)) * 50.0
+        logw[1, :5] = -np.inf                       # an unpopulated level
+        pi, log_z = _normalize_log(logw)
+        trailing = np.ascontiguousarray(np.moveaxis(logw, 0, -1))
+        top = np.max(trailing, axis=-1, keepdims=True)
+        w = np.exp(trailing - top)
+        z = np.sum(w, axis=-1, keepdims=True)
+        assert np.array_equal(np.moveaxis(pi, 0, -1), w / z)
+        assert np.array_equal(log_z, (top + np.log(z))[..., 0])
 
 
 class TestClosedFormState:

@@ -1,12 +1,15 @@
+import json
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from reduction_lab import EnsembleConfig, TimeGrid, run_ensemble
+from reduction_lab import EnsembleConfig, TimeGrid, harness, run_ensemble
 from reduction_lab.errors import ValidationError
 from reduction_lab.harness import CHECK_NAMES, thread_count
+from reduction_lab.reporting import summary_columns, summary_report
 from reduction_lab.instances import degenerate, three_level, two_level
 
 H2, RHO_A = two_level()
@@ -43,6 +46,14 @@ class TestConfigValidation:
         cfg = small_config(checks=(), check_times=(0.33,))
         with pytest.raises(ValidationError):
             run_ensemble(cfg)
+
+    def test_oversized_grid_rejected(self):
+        with pytest.raises(ValidationError, match="grid.t_max / grid.dt"):
+            small_config(grid=TimeGrid.from_duration(1e4, 1e-3))
+
+    def test_all_zero_sampler_bias_rejected(self):
+        with pytest.raises(ValidationError, match="sampler_bias"):
+            small_config(checks=("born",), sampler_bias=(0.0, 0.0))
 
 
 class TestSummaryShape:
@@ -192,6 +203,59 @@ class TestDeterminism:
     def test_thread_env_parsing(self):
         with mock.patch.dict(os.environ, {"REDUCTION_LAB_THREADS": "junk"}):
             assert thread_count() == 1
+
+    def test_non_integer_thread_env_warns(self, capsys):
+        with mock.patch.dict(os.environ, {"REDUCTION_LAB_THREADS": "abc"}):
+            assert thread_count() == 1
+        assert "REDUCTION_LAB_THREADS" in capsys.readouterr().err
+
+
+def _summary_bytes(summary):
+    columns = summary_columns(summary)
+    return (
+        b"".join(name.encode() + np.asarray(values).tobytes()
+                 for name, values in columns.items()),
+        json.dumps(summary_report(summary)),
+    )
+
+
+class TestTimeBlocks:
+    """The chunk sweep through time in blocks of harness.BLOCK points must
+    not change a bit of the output, wherever the block edges fall."""
+
+    @pytest.mark.parametrize("instance, n_paths", [
+        (three_level, 513),   # the last chunk is a single path
+        (two_level, 600),     # one level pair; chunks of 512 and 88 paths
+    ])
+    def test_block_size_does_not_change_results(self, instance, n_paths):
+        h, rho0 = instance()
+        grid = TimeGrid.from_duration(3.2, 0.1)          # 33 points
+        assert len(grid.times()) % 7 != 0
+        cfg = EnsembleConfig(
+            hamiltonian=h, rho0=rho0, grid=grid, n_paths=n_paths, base_seed=5,
+            checks=CHECK_NAMES,
+            # t = 0, both sides of the first block edge at BLOCK = 7, and t_max
+            check_times=(0.0, 0.6, 0.7, 1.4, 3.2),
+        )
+        reference = _summary_bytes(run_ensemble(cfg))
+        for block in (1, 7, len(grid.times()) + 5):
+            with mock.patch.object(harness, "BLOCK", block):
+                assert _summary_bytes(run_ensemble(cfg)) == reference, block
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # one (128, T, 3) float64 array on this grid is 307 MB
+        cfg = EnsembleConfig(
+            hamiltonian=H3, rho0=RHO_B, grid=TimeGrid.from_duration(100.0, 1e-3),
+            n_paths=128, base_seed=1, checks=(),
+        )
+        assert len(cfg.grid.times()) == 100_001
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, peak
 
 
 class TestCheckNames:
