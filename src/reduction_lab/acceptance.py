@@ -32,7 +32,7 @@ from .filtering import (
     FilterModel,
     InformationPath,
     closed_form_state,
-    recovered_brownian,
+    closed_form_trajectory,
     state_decomposition,
 )
 from .harness import EnsembleConfig, run_ensemble
@@ -133,13 +133,11 @@ def _sde_vs_closed_form(model, spec, h, rho0, level, b_fine, t_max, dt):
     xi = model.sigma * spec.energies[level] * times + b
     path = InformationPath(grid=grid, level=level, h_value=float(spec.energies[level]),
                            b=b, xi=xi)
-    w = recovered_brownian(path, rho0, spec, model.sigma)
-    noise = NoisePath(increments=np.diff(w))
-    trajectory = simulate_sme(rho0, h, model.sigma, model.hbar, grid, noise)
+    closed = closed_form_trajectory(model, path)
+    noise = NoisePath(increments=np.diff(closed.w))
+    trajectory = simulate_sme(rho0, h, model.sigma, model.hbar, grid, noise, spec=spec)
 
-    pi, log_z = model.posterior(times, xi)
-    phi = model.phi(times, xi, log_z)
-    exact = model.assemble(times, pi, phi)
+    exact = model.assemble(times, closed.pi, closed.phi)
     integrated = np.stack([s.matrix for s in trajectory.states])
     per_time = np.max(np.abs(integrated - exact), axis=(1, 2))
     return float(per_time.max()), float(np.sqrt(np.mean(per_time**2)))

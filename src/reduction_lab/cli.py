@@ -33,7 +33,6 @@ from .filtering import (
     closed_form_trajectory,
     default_horizon,
     make_information_path,
-    recovered_brownian,
     sample_terminal_energy,
 )
 from .harness import EnsembleConfig, run_ensemble
@@ -91,7 +90,7 @@ def cmd_simulate(args) -> int:
 
     if cfg.mode == "sde":
         noise = sample_noise(grid, rng, seed=cfg.seed)
-        traj = simulate_sme(
+        traj = sde = simulate_sme(
             rho0, cfg.hamiltonian, cfg.sigma, cfg.hbar, grid, noise,
             tols=cfg.tolerances, spec=spec,
         )
@@ -103,16 +102,15 @@ def cmd_simulate(args) -> int:
         if cfg.mode == "both":
             # drive the SDE integrator with the reconstructed increments and
             # report how far it lands from the exact trajectory
-            w = recovered_brownian(path, rho0, spec, cfg.sigma)
             sde = simulate_sme(
                 rho0, cfg.hamiltonian, cfg.sigma, cfg.hbar, grid,
-                NoisePath(increments=np.diff(w)), tols=cfg.tolerances, spec=spec,
+                NoisePath(increments=np.diff(traj.w)), tols=cfg.tolerances, spec=spec,
             )
-            times = grid.times()
-            pi, log_z = model.posterior(times, path.xi)
-            exact = model.assemble(times, pi, model.phi(times, path.xi, log_z))
+            exact = model.assemble(grid.times(), traj.pi, traj.phi)
             gap = float(np.max(np.abs(np.stack([s.matrix for s in sde.states]) - exact)))
             print(f"max |integrated - closed form| over the grid: {gap:.3e}")
+    if cfg.mode != "closed-form":
+        print(f"sde repairs: {sde.repairs} of {grid.n_steps} steps", file=sys.stderr)
 
     out = _out_path(cfg, cfg.trajectory_file)
     write_csv(out, trajectory_columns(traj, spec))

@@ -230,22 +230,9 @@ def energy_estimate(
 def recovered_brownian(
     path: InformationPath, rho0, spec: SpectralDecomposition, sigma: float
 ) -> np.ndarray:
-    """Reconstruct the driving Brownian motion W_t = xi_t - sigma int_0^t H_s ds.
-
-    The time integral uses left Riemann sums, consistent with the Ito
-    (non-anticipating) reading of the integrand.
-    """
-    p = _level_probabilities(rho0, spec)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-    times = path.grid.times()
-    logw = _log_masses(log_p, spec.energies, sigma, times, path.xi)
-    pi, _ = _normalize_log(logw)
-    h_path = _levels_last(pi) @ spec.energies
-    w = np.empty_like(path.xi)
-    w[0] = 0.0
-    w[1:] = path.xi[1:] - sigma * path.grid.dt * np.cumsum(h_path[:-1])
-    return _freeze(w)
+    """Reconstruct the driving Brownian motion W_t = xi_t - sigma int_0^t H_s ds,
+    with left Riemann sums (the Ito, non-anticipating reading)."""
+    return closed_form_trajectory(FilterModel(rho0, spec, sigma), path).w
 
 
 def phi_process(

@@ -61,8 +61,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dag) / 2."""
-    return (a + a.conj().T) / 2.0
+    """(A + A^dag) / 2, of one matrix or of a stack of them."""
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -147,12 +147,17 @@ class SpectralDecomposition:
     """Distinct energy levels with their orthogonal eigenprojectors.
 
     energies are strictly increasing after degeneracy grouping and
-    sum_r energies[r] * projectors[r] reconstructs the operator.
+    sum_r energies[r] * projectors[r] reconstructs the operator. The raw
+    eigensystem stays alongside: H = basis @ diag(eigenvalues) @ basis^dag,
+    and eigenvector i belongs to level level_index[i].
     """
 
     energies: np.ndarray            # (D,) real, strictly increasing
     projectors: tuple               # D matrices, P_r^2 = P_r = P_r^dag
     multiplicities: tuple           # ints summing to N
+    eigenvalues: np.ndarray         # (N,) real, ascending, before grouping
+    basis: np.ndarray               # (N, N) unitary, eigenvectors as columns
+    level_index: np.ndarray         # (N,) level of each eigenvector
 
     @property
     def d(self) -> int:
@@ -231,6 +236,9 @@ def spectral_decompose(
         energies=_freeze(np.array(energies)),
         projectors=tuple(projectors),
         multiplicities=tuple(multiplicities),
+        eigenvalues=_freeze(eigenvalues),
+        basis=_freeze(vectors),
+        level_index=_freeze(np.repeat(np.arange(len(groups)), multiplicities)),
     )
 
 

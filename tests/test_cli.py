@@ -81,6 +81,17 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "closed form" in out
 
+    @pytest.mark.parametrize("mode, reports", [("sde", True), ("both", True),
+                                               ("closed-form", False)])
+    def test_repair_count_goes_to_stderr_only(self, tmp_path, capsys, mode, reports):
+        cfg = write_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                         "--mode", mode]) == 0
+        captured = capsys.readouterr()
+        assert ("sde repairs: 0 of 200 steps\n" in captured.err) is reports
+        assert "repairs" not in captured.out
+        assert "repairs" not in (tmp_path / "trajectory.csv").read_text()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
         cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")])

@@ -14,9 +14,11 @@ from reduction_lab import (
     validate_density,
     variance_bound,
 )
+from reduction_lab.acceptance import random_instance
 from reduction_lab.dynamics import unitary_propagator
 from reduction_lab.errors import DimensionMismatch, StepDivergence
-from reduction_lab.spectral import spectral_decompose
+from reduction_lab.instances import three_level
+from reduction_lab.spectral import DEFAULT_TOLS, moments, offdiag_norms, spectral_decompose
 
 H2 = np.diag([0.0, 1.0]).astype(complex)
 H3 = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -180,6 +182,115 @@ class TestSimulateSme:
         with pytest.raises(DimensionMismatch):
             simulate_sme(coherent_qubit(), H2, 1.0, 1.0, grid,
                          NoisePath(increments=np.zeros(5)))
+
+
+def matrix_form_step(rho, h, sigma, hbar, dt, dw, tols=DEFAULT_TOLS):
+    """Reference Euler-Maruyama step with dense matrix products and the
+    same repair policy: returns (state, whether the clamp ran)."""
+    h_t = np.trace(rho @ h).real
+    commutator = h @ rho - rho @ h
+    dissipator = 2.0 * h @ rho @ h - h @ h @ rho - rho @ h @ h
+    centered = h - h_t * np.eye(len(h))
+    raw = (
+        rho
+        + (-1j / hbar * commutator + sigma**2 / 8.0 * dissipator) * dt
+        + sigma / 2.0 * (centered @ rho + rho @ centered) * dw
+    )
+    a = (raw + raw.conj().T) / 2.0
+    a = a / np.trace(a).real
+    lowest = np.linalg.eigvalsh(a)[0]
+    if lowest < -tols.clamp_tol:
+        raise StepDivergence(f"eigenvalue {lowest:.3e}")
+    if lowest >= -tols.psd_tol:
+        return a, False
+    values, vectors = np.linalg.eigh(a)
+    a = (vectors * np.clip(values, 0.0, None)) @ vectors.conj().T
+    a = a / np.trace(a).real
+    return (a + a.conj().T) / 2.0, True
+
+
+def matrix_form_path(rho0, h, sigma, hbar, grid, noise):
+    """States of the reference step along a noise path, and its clamp count."""
+    states = [np.asarray(rho0, dtype=complex)]
+    clamps = 0
+    for k, dw in enumerate(noise.increments):
+        try:
+            state, clamped = matrix_form_step(states[-1], h, sigma, hbar, grid.dt, dw)
+        except StepDivergence as exc:
+            raise StepDivergence(str(exc), step=k) from exc
+        states.append(state)
+        clamps += clamped
+    return np.stack(states), clamps
+
+
+class TestEigenbasisKernel:
+    @pytest.mark.parametrize("dt", [1e-3, 1e-4])
+    def test_matches_matrix_form_oracle(self, dt):
+        # random H, some with forced degeneracies; at dt = 1e-3 some paths
+        # need the clamp and some diverge, and both must happen at the
+        # same steps as in the reference
+        rng = np.random.default_rng(2001)
+        degenerate = compared = 0
+        for draw in range(6):
+            h, rho0, spec, sigma, hbar, _, _ = random_instance(rng)
+            degenerate += spec.d < h.shape[0]
+            grid = TimeGrid.from_duration(1000 * dt, dt)
+            noise = sample_noise(grid, np.random.default_rng(draw))
+            try:
+                expected, clamps = matrix_form_path(rho0, h, sigma, hbar, grid, noise)
+            except StepDivergence as exc:
+                with pytest.raises(StepDivergence) as caught:
+                    simulate_sme(rho0, h, sigma, hbar, grid, noise)
+                assert caught.value.step == exc.step
+                continue
+            traj = simulate_sme(rho0, h, sigma, hbar, grid, noise)
+            states = np.stack([s.matrix for s in traj.states])
+            assert np.max(np.abs(states - expected)) <= 1e-12
+            assert traj.repairs == clamps
+            for k in range(0, grid.n_steps + 1, 100):
+                m = moments(expected[k], h)
+                assert traj.moments.H[k] == pytest.approx(m.H, abs=1e-12)
+                assert traj.moments.V[k] == pytest.approx(m.V, abs=1e-12)
+                assert traj.moments.beta[k] == pytest.approx(m.beta, abs=1e-12)
+                assert traj.purity[k] == pytest.approx(np.vdot(expected[k], expected[k]).real, abs=1e-12)
+                for pair, norm in offdiag_norms(expected[k], spec).items():
+                    assert traj.offdiag[pair][k] == pytest.approx(norm, abs=1e-12)
+            compared += 1
+        assert degenerate > 0 and compared >= 3
+
+    def test_unitary_change_of_basis(self):
+        h, rho0 = three_level()
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        u, _ = np.linalg.qr(g)
+        grid = TimeGrid.from_duration(1.0, 1e-3)
+        noise = sample_noise(grid, np.random.default_rng(13))
+        base = simulate_sme(rho0, h, 1.0, 1.0, grid, noise)
+        turned = simulate_sme(u @ rho0 @ u.conj().T, u @ h @ u.conj().T, 1.0, 1.0, grid, noise)
+        expected = u @ np.stack([s.matrix for s in base.states]) @ u.conj().T
+        assert np.max(np.abs(np.stack([s.matrix for s in turned.states]) - expected)) <= 1e-12
+        assert np.max(np.abs(turned.moments.H - base.moments.H)) <= 1e-12
+        assert np.max(np.abs(turned.xi - base.xi)) <= 1e-12
+
+    def test_divergence_names_failing_step(self):
+        # a pure state kicked hard at step 6 leaves the PSD cone there
+        grid = TimeGrid.from_duration(0.1, 1e-2)
+        increments = np.zeros(grid.n_steps)
+        increments[6] = 0.8
+        rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        with pytest.raises(StepDivergence) as caught:
+            simulate_sme(rho, H2, 1.0, 1.0, grid, NoisePath(increments=increments))
+        assert caught.value.step == 6
+        assert str(caught.value).startswith("step 6: ")
+
+    def test_repair_counter(self):
+        h, rho0 = three_level()
+        grid = TimeGrid.from_duration(2.0, 2e-3)
+        noise = sample_noise(grid, np.random.default_rng(0))
+        assert simulate_sme(rho0, h, 0.0, 1.0, grid, noise).repairs == 0
+        clamped = simulate_sme(rho0, h, 4.0, 1.0, grid, noise)
+        expected, clamps = matrix_form_path(rho0, h, 4.0, 1.0, grid, noise)
+        assert clamped.repairs == clamps > 0
 
 
 class TestSseStep:
