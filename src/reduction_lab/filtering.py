@@ -16,6 +16,14 @@ Brownian motion are then explicit functionals of (t, xi_t):
 
 Every exponential is evaluated in the log domain with max-subtraction;
 the raw formulas overflow double precision once sigma E_r xi_t is large.
+
+The decay factor of an off-diagonal block is a closed form of the posterior:
+
+    Phi_nm = sqrt(w_n w_m) / (Z sqrt(p_n p_m)) = sqrt(pi_n / p_n) sqrt(pi_m / p_m),
+
+with w_r the unnormalized masses and Z their sum, so Phi needs no
+exponential of its own. Phi is 0 on a pair with p_n p_m = 0, where
+R_nm(0) = P_n rho_0 P_m vanishes.
 """
 
 from __future__ import annotations
@@ -69,9 +77,6 @@ class FilterWeights:
     log_weights: np.ndarray
     probabilities: np.ndarray
 
-    def argmax(self) -> int:
-        return int(np.argmax(self.probabilities))
-
 
 def _level_probabilities(rho0, spec: SpectralDecomposition) -> np.ndarray:
     p = spec.level_probabilities(_mat(rho0))
@@ -82,8 +87,9 @@ def _level_probabilities(rho0, spec: SpectralDecomposition) -> np.ndarray:
     return p / total
 
 
-def _log_masses(log_p, energies, sigma, t, xi):
-    """log p_r + sigma E_r xi - sigma^2 E_r^2 t / 2, broadcast over (t, xi).
+def _log_masses(log_p, energies, sigma, t, xi, out=None):
+    """log p_r + sigma E_r xi - sigma^2 E_r^2 t / 2, broadcast over (t, xi),
+    into out if given.
 
     The level axis comes first, so each level is one contiguous slab; numpy
     is slow on a short trailing axis.
@@ -91,7 +97,8 @@ def _log_masses(log_p, energies, sigma, t, xi):
     t = np.asarray(t, dtype=float)
     xi = np.asarray(xi, dtype=float)
     drag = 0.5 * sigma**2 * np.multiply.outer(energies**2, t)
-    out = np.empty(np.shape(energies) + np.broadcast_shapes(t.shape, xi.shape))
+    if out is None:
+        out = np.empty(np.shape(energies) + np.broadcast_shapes(t.shape, xi.shape))
     for r in range(len(out)):
         slab = out[r, ...]
         np.multiply(xi, energies[r], out=slab)
@@ -101,14 +108,10 @@ def _log_masses(log_p, energies, sigma, t, xi):
     return out
 
 
-def _levels_last(a: np.ndarray) -> np.ndarray:
-    """Contiguous copy with the leading level (or pair) axis moved last."""
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
-
-
-def _normalize_log(logw):
+def _normalize_log(logw, out=None):
     """Return (probabilities, log normalizer) over the leading level axis,
-    with all exponentials <= 1.
+    with all exponentials <= 1; the probabilities go to out if given, which
+    may be logw itself.
 
     The max and the sum run as loops over the levels. That gives the bits
     of a reduction over a trailing level axis: the max is exact, and numpy
@@ -117,15 +120,48 @@ def _normalize_log(logw):
     top = logw[0, ...].copy()
     for level in logw[1:]:
         np.maximum(top, level, out=top)
-    w = np.exp(logw - top)
+    w = np.subtract(logw, top, out=out)
+    np.exp(w, out=w)
     if len(w) < 8:
         z = w[0, ...].copy()
         for level in w[1:]:
             z += level
     else:
-        z = np.sum(_levels_last(w), axis=-1)
+        z = np.sum(np.ascontiguousarray(np.moveaxis(w, 0, -1)), axis=-1)
     w /= z
-    return w, top + np.log(z)
+    top += np.log(z)
+    return w, top
+
+
+def _phi_from_posterior(pi, p, pairs, out=None):
+    """Phi_nm = sqrt(pi_n / p_n) sqrt(pi_m / p_m) per pair, over the trailing
+    axis of pi (levels) and of the result (pairs); out, if given, is the
+    pairs-first array to fill. Taken level by level, no product of two small
+    weights can underflow; a level with p_r = 0 contributes 0."""
+    levels = np.moveaxis(np.asarray(pi, dtype=float), -1, 0)
+    root = np.zeros(levels.shape)
+    for r in np.flatnonzero(p > 0):
+        np.divide(levels[r], p[r], out=root[r, ...])
+    np.sqrt(root, out=root)
+    if out is None:
+        out = np.empty((len(pairs),) + root.shape[1:])
+    for slot, (n, m) in enumerate(pairs):
+        np.multiply(root[n], root[m], out=out[slot, ...])
+    return np.moveaxis(out, 0, -1)
+
+
+def _level_dot(a, weights, out=None, squared=False):
+    """sum_r a[..., r] w_r, or sum_r a[..., r]^2 w_r, as a loop over the
+    trailing axis; each a[..., r] is one contiguous slab when a is a
+    level-last view of a levels-first array, as FilterModel.posterior
+    returns."""
+    for r, weight in enumerate(weights):
+        term = a[..., r] * a[..., r] if squared else a[..., r]
+        if r == 0:
+            out = np.multiply(term, weight, out=out)
+        else:
+            out += term * weight
+    return out
 
 
 def sample_terminal_energy(
@@ -253,21 +289,10 @@ def phi_process(
     """
     if n == m:
         raise SameLevel(f"off-diagonal block needs distinct levels, got {n}")
-    if not (np.isfinite(t) and np.isfinite(xi_t)):
-        raise NonFiniteInput(f"t={t}, xi={xi_t}")
-    p = _level_probabilities(rho0, spec)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-    logw = _log_masses(log_p, spec.energies, sigma, t, xi_t)
-    _, log_z = _normalize_log(logw)
-    e_n, e_m = spec.energies[n], spec.energies[m]
-    log_phi = (
-        0.5 * sigma * (e_n + e_m) * xi_t
-        - 0.25 * sigma**2 * (e_n**2 + e_m**2) * t
-        - log_z
-    )
-    phase = np.exp(-1j * (e_n - e_m) * t / hbar)
-    return float(np.exp(log_phi)), complex(phase)
+    pi = filter_weights(rho0, spec, sigma, t, xi_t).probabilities
+    phi = _phi_from_posterior(pi, _level_probabilities(rho0, spec), [(n, m)])[0]
+    phase = np.exp(-1j * (spec.energies[n] - spec.energies[m]) * t / hbar)
+    return float(phi), complex(phase)
 
 
 @dataclass(frozen=True)
@@ -369,8 +394,8 @@ class FilterTrajectory:
 def closed_form_trajectory(model: "FilterModel", path: InformationPath) -> FilterTrajectory:
     """Evaluate the exact solution along one information path."""
     times = path.grid.times()
-    pi, log_z = model.posterior(times, path.xi)
-    phi = model.phi(times, path.xi, log_z)
+    pi, _ = model.posterior(times, path.xi)
+    phi = model.phi(times, path.xi, pi)
     h_path = model.energy(pi)
     w = np.empty_like(path.xi)
     w[0] = 0.0
@@ -422,52 +447,45 @@ class FilterModel:
         self.luders_stack = np.stack(self.luders)
 
         self.pairs = spec.pairs()
-        self.pair_n = np.array([n for n, _ in self.pairs], dtype=int)
-        self.pair_m = np.array([m for _, m in self.pairs], dtype=int)
-        self.pair_sum = self.energies[self.pair_n] + self.energies[self.pair_m]
-        self.pair_sumsq = self.energies[self.pair_n] ** 2 + self.energies[self.pair_m] ** 2
-        self.pair_gap = self.energies[self.pair_n] - self.energies[self.pair_m]
+        self.pair_gap = np.array(
+            [self.energies[n] - self.energies[m] for n, m in self.pairs], dtype=float
+        )
         self.r0 = np.stack(
             [offdiag_block(self.rho0, spec, n, m) for n, m in self.pairs]
         ) if self.pairs else np.zeros((0,) + self.rho0.shape, dtype=complex)
         self.r0_norm = np.array([frobenius_norm(b) for b in self.r0])
 
-    def posterior(self, t, xi):
-        """(pi, log normalizer), with the level axis of pi last."""
-        pi, log_z = _normalize_log(
-            _log_masses(self.log_p, self.energies, self.sigma, t, xi)
-        )
-        return _levels_last(pi), log_z
+    def posterior(self, t, xi, out=None):
+        """(pi, log normalizer). pi is a level-last view of a levels-first
+        array, out if given, so each pi[..., r] is one contiguous slab."""
+        logw = _log_masses(self.log_p, self.energies, self.sigma, t, xi, out)
+        pi, log_z = _normalize_log(logw, logw)
+        return np.moveaxis(pi, 0, -1), log_z
 
-    def phi(self, t, xi, log_z=None) -> np.ndarray:
-        """Phi_nm over the trailing pair axis (n < m pairs)."""
-        if log_z is None:
-            _, log_z = self.posterior(t, xi)
-        t = np.asarray(t, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        drag = 0.25 * self.sigma**2 * np.multiply.outer(self.pair_sumsq, t)
-        log_phi = np.empty(
-            (len(self.pairs),) + np.broadcast_shapes(t.shape, xi.shape, np.shape(log_z))
-        )
-        for slot in range(len(log_phi)):
-            slab = log_phi[slot, ...]
-            np.multiply(xi, self.pair_sum[slot], out=slab)
-            slab *= 0.5 * self.sigma
-            slab -= drag[slot]
-            slab -= log_z
-        return _levels_last(np.exp(log_phi, out=log_phi))
+    def phi(self, t, xi, pi=None, out=None) -> np.ndarray:
+        """Phi_nm over the trailing pair axis (n < m pairs), from the
+        posterior pi at (t, xi); out, if given, is the pairs-first array."""
+        if pi is None:
+            pi, _ = self.posterior(t, xi)
+        return _phi_from_posterior(pi, self.p, self.pairs, out)
 
-    def energy(self, pi) -> np.ndarray:
-        return pi @ self.energies
+    def energy(self, pi, out=None) -> np.ndarray:
+        return _level_dot(pi, self.energies, out)
 
-    def variance(self, pi) -> np.ndarray:
-        mean = pi @ self.energies
-        return pi @ self.energies**2 - mean**2
+    def variance(self, pi, mean=None, out=None) -> np.ndarray:
+        if mean is None:
+            mean = self.energy(pi)
+        out = _level_dot(pi, self.energies**2, out)
+        out -= mean * mean
+        return out
 
-    def purity(self, pi, phi) -> np.ndarray:
+    def purity(self, pi, phi, out=None) -> np.ndarray:
         """tr(rho_t^2) from the scalar series: the diagonal blocks contribute
         pi_n^2 tr(L_n^2), each unordered off-diagonal pair 2 Phi^2 |R_nm|^2."""
-        return pi**2 @ self.luders_purity + 2.0 * phi**2 @ self.r0_norm**2
+        out = _level_dot(pi, self.luders_purity, out, squared=True)
+        if self.pairs:
+            out += _level_dot(phi, 2.0 * self.r0_norm**2, squared=True)
+        return out
 
     def pair_phases(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -63,12 +63,15 @@ def trajectory_columns(traj, spec: SpectralDecomposition) -> dict:
 
 
 def write_csv(path, columns: dict):
-    header = ",".join(columns)
-    arrays = list(columns.values())
+    """One row per index; every value through one "%.17g" row template,
+    which prints the bytes of fmt at a fraction of its per-value cost.
+    Rows become Python floats 4 096 at a time, which bounds the memory."""
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    table = np.column_stack([np.asarray(a, dtype=float) for a in columns.values()])
     with open(path, "w", newline="\n") as handle:
-        handle.write(header + "\n")
-        for row in zip(*arrays):
-            handle.write(",".join(fmt(x) for x in row) + "\n")
+        handle.write(",".join(columns) + "\n")
+        for lo in range(0, len(table), 4096):
+            handle.writelines(template % tuple(row) for row in table[lo:lo + 4096].tolist())
 
 
 def summary_columns(summary: EnsembleSummary) -> dict:

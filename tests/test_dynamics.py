@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reduction_lab import (
+    FilterModel,
     NoisePath,
     TimeGrid,
     integrate_lindblad,
@@ -17,7 +18,7 @@ from reduction_lab import (
 from reduction_lab.acceptance import random_instance
 from reduction_lab.dynamics import unitary_propagator
 from reduction_lab.errors import DimensionMismatch, StepDivergence
-from reduction_lab.instances import three_level
+from reduction_lab.instances import INSTANCES, three_level
 from reduction_lab.spectral import DEFAULT_TOLS, moments, offdiag_norms, spectral_decompose
 
 H2 = np.diag([0.0, 1.0]).astype(complex)
@@ -393,6 +394,20 @@ class TestLindblad:
         final = path[-1].matrix
         assert abs(final[0, 1]) < 1e-10
         assert final[0, 0].real == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_rk4_matches_the_exact_mean_state(self, name):
+        # the mean-state equation is diagonal in the level blocks: the
+        # populations stay put and each coherence block decays at
+        # sigma^2 (E_n - E_m)^2 / 8, which FilterModel.assemble writes out
+        h, rho0 = INSTANCES[name]()
+        sigma, hbar = 1.3, 0.8
+        grid = TimeGrid.from_duration(2.0, 1e-3)
+        path = integrate_lindblad(rho0, h, sigma, hbar, grid)
+        model = FilterModel(rho0, spectral_decompose(h), sigma, hbar)
+        decay = np.exp(-0.125 * sigma**2 * model.pair_gap**2 * 2.0)
+        exact = model.assemble(2.0, model.p, decay)
+        assert np.max(np.abs(path[-1].matrix - exact)) < 1e-10
 
 
 class TestIntegratorEnsemble:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduction_lab import (
     FilterModel,
@@ -20,6 +22,7 @@ from reduction_lab import (
     type_d_decomposition,
     validate_density,
 )
+from reduction_lab.acceptance import random_instance
 from reduction_lab.errors import NonFiniteInput, SameLevel, ZeroProbabilitySubspace
 from reduction_lab.filtering import _normalize_log
 from reduction_lab.instances import three_level, two_level
@@ -189,7 +192,7 @@ class TestClosedFormState:
             w = recovered_brownian(path, RHO_B, SPEC3, 1.0)
             traj = simulate_sme(RHO_B, H3, 1.0, 1.0, grid, NoisePath(increments=np.diff(w)))
             pi, log_z = model.posterior(times, xi)
-            exact = model.assemble(times, pi, model.phi(times, xi, log_z))
+            exact = model.assemble(times, pi, model.phi(times, xi, pi))
             return float(np.max(np.abs(np.stack([s.matrix for s in traj.states]) - exact)))
 
         err_coarse = run(dw_fine.reshape(-1, 4).sum(axis=1), dt)
@@ -305,6 +308,39 @@ class TestPhiProcess:
             assert abs(pi_nm.mean() - 1.0) <= 3 * se
 
 
+class TestPhiFromPosterior:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_log_domain_formula(self, seed):
+        # Phi_nm = exp[sigma (E_n + E_m) xi / 2 - sigma^2 (E_n^2 + E_m^2) t / 4 - log Z]
+        rng = np.random.default_rng(seed)
+        _, rho0, spec, sigma, hbar, t, xi = random_instance(rng)
+        model = FilterModel(rho0, spec, sigma, hbar)
+        ts = np.array([0.0, t, 2.0 * t + 0.5])
+        xis = np.array([0.0, xi, -0.5 * xi + 1.0])
+        e = model.energies
+        log_w = np.log(model.p) + sigma * np.outer(xis, e) - 0.5 * sigma**2 * np.outer(ts, e**2)
+        top = log_w.max(axis=1, keepdims=True)
+        log_z = top[:, 0] + np.log(np.exp(log_w - top).sum(axis=1))
+        # Phi from pi is exact to rounding while pi_n and pi_m are normal
+        # floats; a posterior below ~1e-308 has lost its digits
+        normal = log_w - log_z[:, None] > np.log(np.finfo(float).tiny)
+        phi = model.phi(ts, xis)
+        for slot, (n, m) in enumerate(model.pairs):
+            ref = np.exp(0.5 * sigma * (e[n] + e[m]) * xis
+                         - 0.25 * sigma**2 * (e[n] ** 2 + e[m] ** 2) * ts - log_z)
+            rows = normal[:, n] & normal[:, m]
+            assert np.all(np.abs(phi[rows, slot] - ref[rows]) <= 1e-12 * ref[rows]), (n, m)
+
+    def test_weightless_level_gives_zero(self):
+        rho0 = np.zeros((3, 3), dtype=complex)
+        rho0[:2, :2] = [[0.5, 0.2], [0.2, 0.5]]
+        model = FilterModel(rho0, SPEC3, 1.0, 1.0)
+        phi = model.phi(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+        assert np.array_equal(phi[:, 1:], np.zeros((2, 2)))
+        assert phi[0, 0] == 1.0
+
+
 class TestTypeDDecomposition:
     def test_zero_path_gives_zero_mass(self):
         grid = TimeGrid.from_duration(1.0, 0.1)
@@ -332,7 +368,7 @@ class TestTypeDDecomposition:
             level = sample_terminal_energy(HALF, SPEC2, rng)
             path = make_information_path(level, SPEC2, 1.0, grid, rng)
             pi, log_z = model.posterior(times, path.xi)
-            phi = model.phi(times, path.xi, log_z)[:, 0]
+            phi = model.phi(times, path.xi, pi)[:, 0]
             out = type_d_decomposition(0, 1, SPEC2, 1.0, grid, phi)
             totals[i] = out.a[-1]
         se = totals.std(ddof=1) / np.sqrt(n)

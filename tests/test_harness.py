@@ -242,6 +242,24 @@ class TestTimeBlocks:
             with mock.patch.object(harness, "BLOCK", block):
                 assert _summary_bytes(run_ensemble(cfg)) == reference, block
 
+    @pytest.mark.parametrize("block, tile", [
+        (7, 1), (7, 5), (7, 7), (7, 40), (40, 1), (40, 5), (1, 5),
+    ])
+    def test_tile_size_does_not_change_results(self, block, tile):
+        # tiles of one point, tiles that straddle nothing, and tiles at least
+        # as wide as the block (each block is then a single tile)
+        cfg = EnsembleConfig(
+            hamiltonian=H3, rho0=RHO_B, grid=TimeGrid.from_duration(3.2, 0.1),
+            n_paths=513, base_seed=5, checks=CHECK_NAMES,
+            check_times=(0.0, 0.4, 0.5, 1.4, 3.2),
+        )
+        reference = _summary_bytes(run_ensemble(cfg))
+        with mock.patch.object(harness, "BLOCK", block), \
+                mock.patch.object(harness, "TILE", tile):
+            assert _summary_bytes(run_ensemble(cfg)) == reference
+            with mock.patch.dict(os.environ, {"REDUCTION_LAB_THREADS": "2"}):
+                assert _summary_bytes(run_ensemble(cfg)) == reference
+
     def test_memory_does_not_grow_with_the_grid(self):
         # one (128, T, 3) float64 array on this grid is 307 MB
         cfg = EnsembleConfig(
@@ -256,6 +274,38 @@ class TestTimeBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64e6, peak
+
+
+class TestZeroWeightPairs:
+    """A level with p_r = 0 carries no coherence: its pairs have
+    R_nm(0) = 0, Phi = 0, and nothing for decoherence to fit."""
+
+    @staticmethod
+    def config(rho0, seed):
+        return EnsembleConfig(
+            hamiltonian=H3, rho0=rho0, grid=TimeGrid.from_duration(20.0, 0.05),
+            n_paths=2000, base_seed=seed, checks=("martingales", "decoherence"),
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pairs_with_a_weightless_level_are_skipped(self, seed):
+        rho0 = np.zeros((3, 3), dtype=complex)
+        rho0[:2, :2] = [[0.5, 0.2], [0.2, 0.5]]          # p_3 = 0
+        summary = run_ensemble(self.config(rho0, seed))
+        columns = summary_columns(summary)
+        for label in ("Phi_13", "Phi_23"):
+            assert not np.any(columns[f"{label}_mean"]), label
+        verdict = summary.checks["decoherence"]
+        assert verdict.passed, verdict.details
+        slopes = verdict.details["slopes"]
+        assert "skipped" in slopes["1-3"] and "skipped" in slopes["2-3"]
+        assert "slope" in slopes["1-2"]
+
+    def test_eigenstate_start_still_fails(self):
+        rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        verdict = run_ensemble(self.config(rho0, 1)).checks["decoherence"]
+        assert not verdict.passed
+        assert all("skipped" in entry for entry in verdict.details["slopes"].values())
 
 
 class TestCheckNames:

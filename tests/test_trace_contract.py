@@ -1,0 +1,65 @@
+"""The names and call shapes that the benchmark's layer tracer relies on.
+
+perfbench/trace_hook/layer_trace.py wraps the functions it lists in
+TRACED and reads per-call attributes from their positional arguments
+(`xi` is args[2] of FilterModel.posterior and .phi; `times`, `lo` and `hi`
+of harness._run_chunk). A rename or a keyword-only call breaks the traced
+benchmark run; these tests catch that here. The tracer module is only
+read, never changed.
+"""
+
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+from reduction_lab import EnsembleConfig, TimeGrid, harness, run_ensemble
+from reduction_lab.filtering import FilterModel
+from reduction_lab.instances import three_level
+
+LAYER_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace_hook" / "layer_trace.py"
+
+
+def load_layer_trace():
+    # compiled from the source text, so no byte-code cache is written next to it
+    module = types.ModuleType("layer_trace")
+    module.__file__ = str(LAYER_TRACE)
+    exec(compile(LAYER_TRACE.read_text(), str(LAYER_TRACE), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_name_resolves():
+    lt = load_layer_trace()
+    for module_name, path, span, _ in lt.TRACED:
+        owner, attr = lt._resolve(importlib.import_module(f"reduction_lab.{module_name}"), path)
+        assert callable(getattr(owner, attr, None)), span
+    assert set(harness.CHECKS) == set(harness.CHECK_NAMES)
+
+
+def test_run_chunk_signature_is_unchanged():
+    params = list(inspect.signature(harness._run_chunk).parameters)
+    assert params == ["cfg", "model", "times", "check_idx", "lo", "hi"]
+
+
+def test_traced_points_cover_the_ensemble(monkeypatch):
+    lt = load_layer_trace()
+    attrs = {span: fn for _, _, span, fn in lt.TRACED}
+    tracer = lt.Tracer()
+    for name in ("posterior", "phi"):
+        span = f"filtering.{name}"
+        monkeypatch.setattr(FilterModel, name,
+                            tracer.wrap(span, getattr(FilterModel, name), attrs[span]))
+    monkeypatch.setattr(harness, "_run_chunk",
+                        tracer.wrap("harness.chunk", harness._run_chunk, attrs["harness.chunk"]))
+    h, rho0 = three_level()
+    grid = TimeGrid.from_duration(3.2, 0.1)
+    cfg = EnsembleConfig(hamiltonian=h, rho0=rho0, grid=grid, n_paths=600, base_seed=2,
+                         checks=("born",), check_times=(1.0,))
+    run_ensemble(cfg)
+
+    points = {}
+    for (span, _), entry in tracer.totals.items():
+        points[span] = points.get(span, 0) + entry["sums"]["points"]
+    expected = cfg.n_paths * len(grid.times())
+    assert points == {"filtering.posterior": expected, "filtering.phi": expected,
+                      "harness.chunk": expected}
