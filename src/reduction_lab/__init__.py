@@ -18,15 +18,11 @@ from .dynamics import (
 from .errors import ReductionLabError
 from .filtering import (
     FilterModel,
-    FilterWeights,
     InformationPath,
     closed_form_state,
     closed_form_trajectory,
     default_horizon,
-    energy_estimate,
-    filter_weights,
     make_information_path,
-    phi_process,
     recovered_brownian,
     sample_terminal_energy,
     state_decomposition,
@@ -36,11 +32,9 @@ from .harness import EnsembleConfig, EnsembleSummary, Verdict, run_ensemble
 from .spectral import (
     DEFAULT_TOLS,
     DensityMatrix,
-    HermitianOperator,
     SpectralDecomposition,
     StateMoments,
     ToleranceSet,
-    hermitian_operator,
     luders_state,
     moments,
     offdiag_norms,

@@ -131,15 +131,13 @@ def _sde_vs_closed_form(model, spec, h, rho0, level, b_fine, t_max, dt):
     b = np.zeros(grid.n_steps + 1)
     b[1:] = np.cumsum(b_fine)
     xi = model.sigma * spec.energies[level] * times + b
-    path = InformationPath(grid=grid, level=level, h_value=float(spec.energies[level]),
-                           b=b, xi=xi)
+    path = InformationPath(grid=grid, level=level, xi=xi)
     closed = closed_form_trajectory(model, path)
     noise = NoisePath(increments=np.diff(closed.w))
     trajectory = simulate_sme(rho0, h, model.sigma, model.hbar, grid, noise, spec=spec)
 
     exact = model.assemble(times, closed.pi, closed.phi)
-    integrated = np.stack([s.matrix for s in trajectory.states])
-    per_time = np.max(np.abs(integrated - exact), axis=(1, 2))
+    per_time = np.max(np.abs(trajectory.states - exact), axis=(1, 2))
     return float(per_time.max()), float(np.sqrt(np.mean(per_time**2)))
 
 

@@ -3,7 +3,7 @@
 Subcommands:
   simulate   one trajectory -> CSV (t, H_t, V_t, purity, xi, W, pi_r, |R_nm|)
   ensemble   Monte Carlo run -> summary JSON + per-time CSV of means/stderrs
-  lindblad   deterministic mean-state ODE -> CSV of matrix entries
+  lindblad   exact ensemble mean state -> CSV of matrix entries
   verify     built-in verification suite; nonzero exit on any failure
 
 REDUCTION_LAB_THREADS caps ensemble parallelism; outputs are byte-identical
@@ -19,14 +19,15 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .config import MODES, RunConfig, parse_config
-from .dynamics import (
-    NoisePath,
-    TimeGrid,
-    integrate_lindblad,
-    sample_noise,
-    simulate_sme,
+from .config import (
+    MODES,
+    RunConfig,
+    parse_config,
+    validate_checks,
+    validate_n_paths,
+    validate_seed,
 )
+from .dynamics import NoisePath, sample_noise, simulate_sme
 from .errors import ReductionLabError
 from .filtering import (
     FilterModel,
@@ -51,22 +52,17 @@ def _load_config(args) -> RunConfig:
         raise ReductionLabError("--config PATH is required for this command")
     with open(args.config) as handle:
         cfg = parse_config(handle.read())
+    # overrides pass the validators of the config fields they replace
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = validate_seed(args.seed)
     if args.paths is not None:
-        cfg.n_paths = args.paths
+        cfg.n_paths = validate_n_paths(args.paths)
     if args.out is not None:
         cfg.output_dir = args.out
     if getattr(args, "mode", None):
         cfg.mode = args.mode
     if getattr(args, "checks", None):
-        from .harness import CHECK_NAMES
-
-        names = tuple(name.strip() for name in args.checks.split(",") if name.strip())
-        unknown = set(names) - set(CHECK_NAMES)
-        if unknown:
-            raise ReductionLabError(f"--checks: unknown names {sorted(unknown)}")
-        cfg.checks = names
+        cfg.checks = validate_checks([n.strip() for n in args.checks.split(",") if n.strip()])
     return cfg
 
 
@@ -89,7 +85,7 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
 
     if cfg.mode == "sde":
-        noise = sample_noise(grid, rng, seed=cfg.seed)
+        noise = sample_noise(grid, rng)
         traj = sde = simulate_sme(
             rho0, cfg.hamiltonian, cfg.sigma, cfg.hbar, grid, noise,
             tols=cfg.tolerances, spec=spec,
@@ -97,7 +93,7 @@ def cmd_simulate(args) -> int:
     else:
         model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
         level = sample_terminal_energy(rho0, spec, rng, cfg.tolerances)
-        path = make_information_path(level, spec, cfg.sigma, grid, rng, seed=cfg.seed)
+        path = make_information_path(level, spec, cfg.sigma, grid, rng)
         traj = closed_form_trajectory(model, path)
         if cfg.mode == "both":
             # drive the SDE integrator with the reconstructed increments and
@@ -107,7 +103,7 @@ def cmd_simulate(args) -> int:
                 NoisePath(increments=np.diff(traj.w)), tols=cfg.tolerances, spec=spec,
             )
             exact = model.assemble(grid.times(), traj.pi, traj.phi)
-            gap = float(np.max(np.abs(np.stack([s.matrix for s in sde.states]) - exact)))
+            gap = float(np.max(np.abs(sde.states - exact)))
             print(f"max |integrated - closed form| over the grid: {gap:.3e}")
     if cfg.mode != "closed-form":
         print(f"sde repairs: {sde.repairs} of {grid.n_steps} steps", file=sys.stderr)
@@ -165,9 +161,9 @@ def cmd_lindblad(args) -> int:
     rho0 = validate_density(cfg.rho0, cfg.tolerances)
     spec = spectral_decompose(cfg.hamiltonian, tols=cfg.tolerances)
     grid = cfg.grid(_resolve_t_max(cfg, spec, rho0))
-    states = integrate_lindblad(rho0, cfg.hamiltonian, cfg.sigma, cfg.hbar, grid)
+    model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
     out = _out_path(cfg, cfg.lindblad_file)
-    write_csv(out, lindblad_columns(states, grid))
+    write_csv(out, lindblad_columns(model.mean_state(grid.times()), grid))
     print(f"wrote {out} ({grid.n_steps + 1} rows)")
     return 0
 
@@ -209,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("simulate", help="write one trajectory CSV"), mode=True)
     common(sub.add_parser("ensemble", help="run a Monte Carlo ensemble"), checks=True)
-    common(sub.add_parser("lindblad", help="integrate the mean-state equation"))
+    common(sub.add_parser("lindblad", help="write the exact ensemble mean state"))
     sub.add_parser("verify", help="run the built-in verification suite")
     return parser
 

@@ -35,8 +35,7 @@ _MATRIX_KEYS = {"real", "imag"}
 _GRID_KEYS = {"t_max", "dt"}
 _OUTPUT_KEYS = {"dir", "trajectory", "summary_json", "summary_csv", "lindblad"}
 _TOL_KEYS = {
-    "hermiticity_tol", "trace_tol", "psd_tol", "matrix_tol",
-    "reconstruction_tol", "degeneracy_tol", "luders_floor", "clamp_tol",
+    "hermiticity_tol", "trace_tol", "psd_tol", "degeneracy_tol", "luders_floor", "clamp_tol",
 }
 
 
@@ -94,6 +93,29 @@ def _positive(value, name, strict=True):
     if not strict and value < 0:
         raise ValidationError(f"{name}: must be >= 0, got {value}")
     return value
+
+
+def validate_n_paths(n) -> int:
+    if not isinstance(n, int) or n < 1:
+        raise ValidationError(f"n_paths: expected a positive integer, got {n!r}")
+    return n
+
+
+def validate_seed(seed) -> int:
+    if not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed: expected a nonnegative integer, got {seed!r}")
+    return seed
+
+
+def validate_checks(checks) -> tuple:
+    from .harness import CHECK_NAMES
+
+    if not isinstance(checks, list):
+        raise ValidationError("checks: expected a list of check names")
+    unknown = set(checks) - set(CHECK_NAMES)
+    if unknown:
+        raise ValidationError(f"checks: unknown names {sorted(unknown)}")
+    return tuple(checks)
 
 
 @dataclass
@@ -255,29 +277,15 @@ def parse_config(text: str) -> RunConfig:
             cfg["t_max"] = _positive(raw["grid"]["t_max"], "grid.t_max")
             check_grid_size(cfg["t_max"], cfg.get("dt", RunConfig.dt))
     if "n_paths" in raw:
-        n = raw["n_paths"]
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"n_paths: expected a positive integer, got {n!r}")
-        cfg["n_paths"] = n
+        cfg["n_paths"] = validate_n_paths(raw["n_paths"])
     if "seed" in raw:
-        seed = raw["seed"]
-        if not isinstance(seed, int) or seed < 0:
-            raise ValidationError(f"seed: expected a nonnegative integer, got {seed!r}")
-        cfg["seed"] = seed
+        cfg["seed"] = validate_seed(raw["seed"])
     if "mode" in raw:
         if raw["mode"] not in MODES:
             raise ValidationError(f"mode: expected one of {MODES}, got {raw['mode']!r}")
         cfg["mode"] = raw["mode"]
     if "checks" in raw:
-        from .harness import CHECK_NAMES
-
-        checks = raw["checks"]
-        if not isinstance(checks, list):
-            raise ValidationError("checks: expected a list of check names")
-        unknown = set(checks) - set(CHECK_NAMES)
-        if unknown:
-            raise ValidationError(f"checks: unknown names {sorted(unknown)}")
-        cfg["checks"] = tuple(checks)
+        cfg["checks"] = validate_checks(raw["checks"])
     if "check_times" in raw:
         times = raw["check_times"]
         if not isinstance(times, list):

@@ -10,6 +10,10 @@ time^-1/2) and hbar drive three layers:
     dpsi = -(i/hbar) H psi dt - (sigma^2/8)(H - H_t)^2 psi dt + (sigma/2)(H - H_t) psi dW
   ensemble mean (deterministic, classical RK4): the dW-free part of drho.
 
+The ensemble mean has a closed form, FilterModel.mean_state, which the
+lindblad command and the variance_decay check use; integrate_lindblad
+stays as the numerical oracle the tests hold that closed form against.
+
 The density-matrix step runs in the eigenbasis of H, where every generator
 is elementwise: (E_i - E_j) rho_ij, -(E_i - E_j)^2 rho_ij and
 (E_i + E_j - 2 H_t) rho_ij. It costs about ten small array operations and
@@ -76,44 +80,39 @@ class NoisePath:
     """Brownian increments on a grid: increments[k] ~ Normal(0, dt)."""
 
     increments: np.ndarray
-    seed: object = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.increments)):
             raise ValueError("noise increments must be finite")
 
 
-def sample_noise(grid: TimeGrid, rng: np.random.Generator, seed=None) -> NoisePath:
+def sample_noise(grid: TimeGrid, rng: np.random.Generator) -> NoisePath:
     """Draw independent Normal(0, dt) increments for every step of the grid."""
-    dw = rng.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
-    return NoisePath(increments=_freeze(dw), seed=seed)
-
-
-@dataclass(frozen=True)
-class MomentSeries:
-    """Energy mean, variance, and third central moment along a trajectory."""
-
-    H: np.ndarray
-    V: np.ndarray
-    beta: np.ndarray
+    return NoisePath(increments=_freeze(rng.standard_normal(grid.n_steps) * np.sqrt(grid.dt)))
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One realization of the reduction process on a time grid.
+    """Column record of one integrated realization on a time grid, with the
+    field names of the closed-form FilterTrajectory.
 
-    xi is reconstructed from the driving noise via dxi = sigma H_t dt + dW,
-    so xi[0] = w[0] = 0 and the pair (xi, w) is consistent with the
-    information-process picture of the same dynamics.
+    pi has shape (n_points, D) and offdiag one column of |P_n rho P_m| per
+    level pair n < m, in spec.pairs() order. xi is reconstructed from the
+    driving noise via dxi = sigma H_t dt + dW, so xi[0] = w[0] = 0 and the
+    pair (xi, w) is consistent with the information-process picture of the
+    same dynamics.
     """
 
     grid: TimeGrid
-    states: tuple                 # n_steps + 1 DensityMatrix views of one frozen stack
     xi: np.ndarray
     w: np.ndarray
-    moments: MomentSeries
+    pi: np.ndarray
+    H: np.ndarray
+    V: np.ndarray
+    beta: np.ndarray
     purity: np.ndarray
-    offdiag: dict                 # (n, m) -> series of |P_n rho P_m|
+    offdiag: np.ndarray
+    states: np.ndarray            # (n_points, N, N), frozen
     repairs: int                  # steps whose state the PSD clamp repaired
 
 
@@ -244,11 +243,11 @@ def simulate_sme(
     h_series = p @ e
     centered = e - h_series[:, None]
     abs2 = stack.real**2 + stack.imag**2
-    offdiag = {}
-    for n, m in spec.pairs():
-        rows, cols = spec.level_index == n, spec.level_index == m
-        norm = _freeze(np.sqrt(abs2[:, rows][:, :, cols].sum(axis=(1, 2))))
-        offdiag[(n, m)] = offdiag[(m, n)] = norm
+    levels = [spec.level_index == r for r in range(spec.d)]
+    pairs = spec.pairs()
+    offdiag = np.empty((len(stack), len(pairs)))
+    for slot, (n, m) in enumerate(pairs):
+        offdiag[:, slot] = np.sqrt(abs2[:, levels[n]][:, :, levels[m]].sum(axis=(1, 2)))
 
     w = np.zeros(grid.n_steps + 1)
     np.cumsum(noise.increments, out=w[1:])
@@ -259,16 +258,17 @@ def simulate_sme(
     xi = np.zeros(grid.n_steps + 1)
     xi[1:] = np.add.accumulate(terms.ravel())[1::2]
 
-    states = _freeze(hermitian_part(basis @ stack @ basis.conj().T))
     return Trajectory(
         grid=grid,
-        states=tuple(DensityMatrix(s) for s in states),
         xi=_freeze(xi),
         w=_freeze(w),
-        moments=MomentSeries(_freeze(h_series), _freeze(np.sum(p * centered**2, axis=1)),
-                             _freeze(np.sum(p * centered**3, axis=1))),
+        pi=_freeze(np.stack([p[:, level].sum(axis=1) for level in levels], axis=1)),
+        H=_freeze(h_series),
+        V=_freeze(np.sum(p * centered**2, axis=1)),
+        beta=_freeze(np.sum(p * centered**3, axis=1)),
         purity=_freeze(abs2.sum(axis=(1, 2))),
-        offdiag=offdiag,
+        offdiag=_freeze(offdiag),
+        states=_freeze(hermitian_part(basis @ stack @ basis.conj().T)),
         repairs=repairs,
     )
 
@@ -317,7 +317,8 @@ def integrate_lindblad(
 ) -> list:
     """Classical RK4 on the mean-state equation; trace renormalized each step.
 
-    Returns the list of mean states at every grid point.
+    Returns the list of mean states at every grid point: the numerical
+    oracle of the closed form FilterModel.mean_state.
     """
     a = _mat(h)
     r = np.asarray(_mat(rho0), dtype=complex)

@@ -14,8 +14,12 @@ Brownian motion are then explicit functionals of (t, xi_t):
     K_t      =  exp[-i H t / hbar + sigma H xi_t / 2 - sigma^2 H^2 t / 4]
     W_t      =  xi_t - sigma * integral_0^t H_s ds
 
-Every exponential is evaluated in the log domain with max-subtraction;
-the raw formulas overflow double precision once sigma E_r xi_t is large.
+FilterModel evaluates the posterior and everything that is a function of
+it: Phi, H_t, V_t, purity, |R_nm|, the assembled states and the exact mean
+state; closed_form_state keeps the propagator route as an independent
+cross-check. The posterior is the one FilterModel quantity evaluated in
+the log domain, with max-subtraction; the raw formula overflows double
+precision once sigma E_r xi_t is large.
 
 The decay factor of an off-diagonal block is a closed form of the posterior:
 
@@ -33,11 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TimeGrid
-from .errors import (
-    DegenerateDistribution,
-    NonFiniteInput,
-    SameLevel,
-)
+from .errors import DegenerateDistribution, NonFiniteInput, SameLevel
 from .spectral import (
     DEFAULT_TOLS,
     DensityMatrix,
@@ -59,23 +59,7 @@ class InformationPath:
 
     grid: TimeGrid
     level: int
-    h_value: float
-    b: np.ndarray
     xi: np.ndarray
-    seed: object = None
-
-
-@dataclass(frozen=True)
-class FilterWeights:
-    """Conditional level probabilities given the observation (t, xi_t).
-
-    log_weights are the unnormalized log masses
-    log p_r + sigma E_r xi - sigma^2 E_r^2 t / 2 (-inf on unpopulated
-    levels); probabilities normalize them via max-subtraction.
-    """
-
-    log_weights: np.ndarray
-    probabilities: np.ndarray
 
 
 def _level_probabilities(rho0, spec: SpectralDecomposition) -> np.ndarray:
@@ -183,7 +167,6 @@ def make_information_path(
     sigma: float,
     grid: TimeGrid,
     rng: np.random.Generator | None,
-    seed=None,
 ) -> InformationPath:
     """Sample xi_t = sigma t E_level + B_t on the grid.
 
@@ -194,26 +177,8 @@ def make_information_path(
     b = np.zeros(grid.n_steps + 1)
     if rng is not None:
         b[1:] = np.cumsum(rng.standard_normal(grid.n_steps) * np.sqrt(grid.dt))
-    h_value = float(spec.energies[level])
-    xi = sigma * h_value * times + b
-    return InformationPath(
-        grid=grid, level=level, h_value=h_value,
-        b=_freeze(b), xi=_freeze(xi), seed=seed,
-    )
-
-
-def filter_weights(
-    rho0, spec: SpectralDecomposition, sigma: float, t: float, xi_t: float
-) -> FilterWeights:
-    """Conditional probabilities of each level given the observation."""
-    if not (np.isfinite(t) and np.isfinite(xi_t)):
-        raise NonFiniteInput(f"t={t}, xi={xi_t}")
-    p = _level_probabilities(rho0, spec)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-    logw = _log_masses(log_p, spec.energies, sigma, t, xi_t)
-    probabilities, _ = _normalize_log(logw)
-    return FilterWeights(log_weights=_freeze(logw), probabilities=_freeze(probabilities))
+    xi = sigma * float(spec.energies[level]) * times + b
+    return InformationPath(grid=grid, level=level, xi=_freeze(xi))
 
 
 def closed_form_state(
@@ -255,44 +220,12 @@ def closed_form_state(
     return validate_density(unnormalized / trace, tols)
 
 
-def energy_estimate(
-    rho0, spec: SpectralDecomposition, sigma: float, t: float, xi_t: float
-) -> float:
-    """Conditional energy expectation sum_r pi_r(t) E_r."""
-    weights = filter_weights(rho0, spec, sigma, t, xi_t)
-    return float(weights.probabilities @ spec.energies)
-
-
 def recovered_brownian(
     path: InformationPath, rho0, spec: SpectralDecomposition, sigma: float
 ) -> np.ndarray:
     """Reconstruct the driving Brownian motion W_t = xi_t - sigma int_0^t H_s ds,
     with left Riemann sums (the Ito, non-anticipating reading)."""
     return closed_form_trajectory(FilterModel(rho0, spec, sigma), path).w
-
-
-def phi_process(
-    n: int,
-    m: int,
-    rho0,
-    spec: SpectralDecomposition,
-    sigma: float,
-    t: float,
-    xi_t: float,
-    hbar: float = 1.0,
-):
-    """Scalar decay factor and deterministic phase of the block P_n rho_t P_m.
-
-    The block evolves as R_nm(t) = P_n rho_0 P_m * phase * Phi with
-    Phi real positive; on average Phi decays like
-    exp[-sigma^2 (E_n - E_m)^2 t / 8].
-    """
-    if n == m:
-        raise SameLevel(f"off-diagonal block needs distinct levels, got {n}")
-    pi = filter_weights(rho0, spec, sigma, t, xi_t).probabilities
-    phi = _phi_from_posterior(pi, _level_probabilities(rho0, spec), [(n, m)])[0]
-    phase = np.exp(-1j * (spec.energies[n] - spec.energies[m]) * t / hbar)
-    return float(phi), complex(phase)
 
 
 @dataclass(frozen=True)
@@ -338,24 +271,16 @@ def state_decomposition(
         rho_t = sum_n pi_n(t) L_n
               + sum_{n != m} P_n rho_0 P_m * exp[-i(E_n - E_m)t/hbar] * Phi_nm(t)
 
-    with L_n the Lueders state of level n. Serves as an independent code
-    path that must agree with closed_form_state to high accuracy.
+    with L_n the Lueders state of level n: the route every ensemble takes,
+    through FilterModel, that must agree with closed_form_state to high
+    accuracy.
     """
-    rho = _mat(rho0)
-    weights = filter_weights(rho0, spec, sigma, t, xi_t)
-    p = _level_probabilities(rho0, spec)
-    out = np.zeros_like(rho)
-    for n in range(spec.d):
-        if p[n] <= tols.luders_floor:
-            continue
-        out += weights.probabilities[n] * luders_state(rho, spec, n, tols).matrix
-    for n in range(spec.d):
-        for m in range(spec.d):
-            if n == m or p[n] <= tols.luders_floor or p[m] <= tols.luders_floor:
-                continue
-            phi, phase = phi_process(n, m, rho, spec, sigma, t, xi_t, hbar)
-            out += offdiag_block(rho, spec, n, m) * phase * phi
-    return validate_density(hermitian_part(out), tols)
+    if not (np.isfinite(t) and np.isfinite(xi_t)):
+        raise NonFiniteInput(f"t={t}, xi={xi_t}")
+    model = FilterModel(rho0, spec, sigma, hbar, tols)
+    pi, _ = model.posterior(t, xi_t)
+    state = model.assemble(t, pi, model.phi(t, xi_t, pi))
+    return validate_density(hermitian_part(state), tols)
 
 
 def default_horizon(spec: SpectralDecomposition, rho0, sigma: float) -> float:
@@ -499,6 +424,12 @@ class FilterModel:
         coeff = phi * self.pair_phases(t)
         off = np.tensordot(coeff, self.r0, axes=(-1, 0))
         return diag + off + np.swapaxes(off, -1, -2).conj()
+
+    def mean_state(self, t) -> np.ndarray:
+        """The exact ensemble mean state at t: pi averages to p and each
+        Phi_nm to exp[-sigma^2 (E_n - E_m)^2 t / 8]."""
+        rate = -0.125 * self.sigma**2 * self.pair_gap**2
+        return self.assemble(t, self.p, np.exp(np.multiply.outer(t, rate)))
 
     def offdiag_norm(self, phi) -> np.ndarray:
         """|P_n rho_t P_m| per unordered pair."""

@@ -563,9 +563,7 @@ def check_variance_decay(summary: EnsembleSummary) -> Verdict:
 
     z_state = 0.0
     for t, stats in summary.mean_states.items():
-        # the exact mean state: E[pi_n] = p_n, E[Phi_nm] = exp(-sigma^2 (E_n - E_m)^2 t / 8)
-        decay = np.exp(-0.125 * cfg.sigma**2 * model.pair_gap**2 * t)
-        target = model.assemble(t, model.p, decay)
+        target = model.mean_state(t)
         z_re = _z_exceedance(stats["mean"].real, stats["se_real"], target.real)
         z_im = _z_exceedance(stats["mean"].imag, stats["se_imag"], target.imag)
         z_state = max(z_state, z_re, z_im)

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .dynamics import Trajectory
-from .filtering import FilterTrajectory
 from .harness import EnsembleSummary
 from .spectral import SpectralDecomposition
 
@@ -28,37 +26,23 @@ def _pair_label(n: int, m: int) -> str:
 
 
 def trajectory_columns(traj, spec: SpectralDecomposition) -> dict:
-    """Uniform column view over SDE and closed-form trajectories.
+    """Column view of an SDE or a closed-form trajectory, which share the
+    field names read here.
 
     Columns: t, H_t, V_t, purity, xi, W, pi_1..pi_D, |R_nm| for n < m.
     """
-    pairs = spec.pairs()
-    if isinstance(traj, FilterTrajectory):
-        pi = traj.pi
-        offdiag = traj.offdiag
-        h, v, purity = traj.H, traj.V, traj.purity
-    elif isinstance(traj, Trajectory):
-        states = np.stack([s.matrix for s in traj.states])
-        proj = np.stack(spec.projectors)
-        pi = np.einsum("tij,rji->tr", states, proj).real
-        offdiag = np.stack([traj.offdiag[pair] for pair in pairs], axis=1) \
-            if pairs else np.zeros((len(traj.states), 0))
-        h, v, purity = traj.moments.H, traj.moments.V, traj.purity
-    else:
-        raise TypeError(f"unsupported trajectory type {type(traj).__name__}")
-
     columns = {
         "t": traj.grid.times(),
-        "H_t": h,
-        "V_t": v,
-        "purity": purity,
+        "H_t": traj.H,
+        "V_t": traj.V,
+        "purity": traj.purity,
         "xi": traj.xi,
         "W": traj.w,
     }
     for r in range(spec.d):
-        columns[f"pi_{r + 1}"] = pi[:, r]
-    for slot, (n, m) in enumerate(pairs):
-        columns[_pair_label(n, m)] = offdiag[:, slot]
+        columns[f"pi_{r + 1}"] = traj.pi[:, r]
+    for slot, (n, m) in enumerate(spec.pairs()):
+        columns[_pair_label(n, m)] = traj.offdiag[:, slot]
     return columns
 
 
@@ -174,13 +158,12 @@ def write_summary_json(path, summary: EnsembleSummary, config_echo: dict | None 
         handle.write("\n")
 
 
-def lindblad_columns(states, grid) -> dict:
-    """Mean-state ODE output: every matrix entry as re/im columns."""
-    dim = states[0].matrix.shape[0]
-    stack = np.stack([s.matrix for s in states])
+def lindblad_columns(states: np.ndarray, grid) -> dict:
+    """Mean states, an (n_points, N, N) stack: every matrix entry as re/im
+    columns."""
     columns = {"t": grid.times()}
-    for i in range(dim):
-        for j in range(dim):
-            columns[f"re_{i + 1}{j + 1}"] = stack[:, i, j].real
-            columns[f"im_{i + 1}{j + 1}"] = stack[:, i, j].imag
+    for i in range(states.shape[1]):
+        for j in range(states.shape[2]):
+            columns[f"re_{i + 1}{j + 1}"] = states[:, i, j].real
+            columns[f"im_{i + 1}{j + 1}"] = states[:, i, j].imag
     return columns

@@ -29,15 +29,13 @@ from .errors import (
 class ToleranceSet:
     """Numerical tolerances, sized for double-precision eigensolver noise.
 
-    reconstruction_tol is relative to max |E_r|; degeneracy_tol, when left
-    None, defaults to 1e-8 * max(1, |E|_max) at decomposition time.
+    degeneracy_tol, when left None, defaults to 1e-8 * max(1, |E|_max) at
+    decomposition time.
     """
 
     hermiticity_tol: float = 1e-10
     trace_tol: float = 1e-10
     psd_tol: float = 1e-9
-    matrix_tol: float = 1e-9
-    reconstruction_tol: float = 1e-8
     degeneracy_tol: float | None = None
     luders_floor: float = 1e-12
     clamp_tol: float = 1e-6
@@ -50,7 +48,7 @@ DEFAULT_TOLS = ToleranceSet()
 
 
 def _mat(obj) -> np.ndarray:
-    """Unwrap DensityMatrix / HermitianOperator to the raw ndarray."""
+    """Unwrap a DensityMatrix to the raw ndarray."""
     return getattr(obj, "matrix", obj)
 
 
@@ -79,29 +77,14 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A Hermitian operator, symmetrized on construction. Units: energy for
-    a Hamiltonian; dimensionless otherwise."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def hermitian_operator(a, tols: ToleranceSet = DEFAULT_TOLS) -> HermitianOperator:
-    """Validate Hermiticity within tolerance and symmetrize exactly.
-
-    Inputs within hermiticity_tol are replaced by (A + A^dag)/2 so that
-    downstream code sees exactly Hermitian data.
-    """
-    a = require_square(_mat(a))
+def _symmetrized(m, tols: ToleranceSet) -> np.ndarray:
+    """(A + A^dag) / 2 of a square finite matrix that is Hermitian within
+    hermiticity_tol, so that downstream code sees exactly Hermitian data."""
+    a = require_square(_mat(m))
     defect = hermiticity_defect(a)
     if defect > tols.hermiticity_tol:
         raise NotHermitian(defect, tols.hermiticity_tol)
-    return HermitianOperator(_freeze(hermitian_part(a)))
+    return hermitian_part(a)
 
 
 @dataclass(frozen=True)
@@ -125,12 +108,7 @@ def validate_density(m, tols: ToleranceSet = DEFAULT_TOLS) -> DensityMatrix:
     Checks Hermiticity, trace one (renormalizing when the deviation is
     within trace_tol), and positive semidefiniteness down to -psd_tol.
     """
-    a = require_square(_mat(m))
-    defect = hermiticity_defect(a)
-    if defect > tols.hermiticity_tol:
-        raise NotHermitian(defect, tols.hermiticity_tol)
-    a = hermitian_part(a)
-
+    a = _symmetrized(m, tols)
     trace = np.trace(a).real
     if abs(trace - 1.0) > tols.trace_tol:
         raise NotTraceOne(trace, tols.trace_tol)
@@ -200,11 +178,10 @@ def spectral_decompose(
     a gap larger than degeneracy_tol starts a new level. Each merged level
     takes the multiplicity-weighted mean of its members, and its projector
     is the sum of outer products of the corresponding orthonormal
-    eigenvectors.
+    eigenvectors. The operator must be Hermitian within hermiticity_tol
+    and is symmetrized exactly before the eigensolver sees it.
     """
-    if isinstance(h, np.ndarray):
-        h = hermitian_operator(h, tols)
-    a = h.matrix
+    a = _symmetrized(h, tols)
     try:
         eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

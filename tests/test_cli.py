@@ -149,6 +149,26 @@ class TestEnsemble:
         assert report["terminal"]["h_se"] is None
 
 
+class TestOverrideValidation:
+    # command-line overrides pass the validators of the config fields
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path),
+                         "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("flag, value, field", [("--paths", "0", "n_paths"),
+                                                    ("--checks", "born,bogus", "checks")])
+    def test_bad_ensemble_override_names_the_field(self, tmp_path, capsys, flag, value, field):
+        cfg = write_config(tmp_path)
+        assert cli.main(["ensemble", "--config", cfg, "--out", str(tmp_path),
+                         flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 class TestLindblad:
     def test_mean_state_csv(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -181,6 +181,12 @@ class TestToleranceOverrides:
         with pytest.raises(ValidationError, match="tolerances"):
             parse_config('{"instance": "two_level", "tolerances": {"fuzz": 1}}')
 
+    @pytest.mark.parametrize("key", ["matrix_tol", "reconstruction_tol"])
+    def test_removed_tolerance_rejected(self, key):
+        # no ToleranceSet field by these names: the unknown-keys error
+        with pytest.raises(ValidationError, match="tolerances: unknown keys"):
+            parse_config('{"instance": "two_level", "tolerances": {"%s": 1e-9}}' % key)
+
 
 class TestRoundTrip:
     def test_serialized_config_reparses_identically(self):

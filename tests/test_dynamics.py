@@ -118,8 +118,8 @@ class TestSimulateSme:
         noise = NoisePath(increments=np.zeros(grid.n_steps))
         traj = simulate_sme(coherent_qubit(), H2, sigma=0.0, hbar=1.0,
                             grid=grid, noise=noise)
-        assert np.max(np.abs(traj.moments.H - traj.moments.H[0])) < 10 * grid.dt
-        assert np.max(np.abs(traj.moments.V - traj.moments.V[0])) < 10 * grid.dt
+        assert np.max(np.abs(traj.H - traj.H[0])) < 10 * grid.dt
+        assert np.max(np.abs(traj.V - traj.V[0])) < 10 * grid.dt
         assert np.max(np.abs(traj.purity - traj.purity[0])) < 10 * grid.dt
 
     def test_energy_stays_in_spectrum_range(self):
@@ -127,8 +127,8 @@ class TestSimulateSme:
         grid = TimeGrid.from_duration(2.0, 1e-3)
         traj = simulate_sme(coherent_qubit(), H2, sigma=1.0, hbar=1.0,
                             grid=grid, noise=sample_noise(grid, rng))
-        assert np.all(traj.moments.H >= -1e-12)
-        assert np.all(traj.moments.H <= 1.0 + 1e-12)
+        assert np.all(traj.H >= -1e-12)
+        assert np.all(traj.H <= 1.0 + 1e-12)
 
     def test_fixed_seed_bitwise_reproducible(self):
         grid = TimeGrid.from_duration(0.5, 1e-3)
@@ -139,9 +139,7 @@ class TestSimulateSme:
         a, b = runs
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.xi, b.xi)
-        assert all(
-            np.array_equal(x.matrix, y.matrix) for x, y in zip(a.states, b.states)
-        )
+        assert np.array_equal(a.states, b.states)
 
     def test_states_stay_valid_and_records_line_up(self):
         rng = np.random.default_rng(8)
@@ -151,7 +149,7 @@ class TestSimulateSme:
         assert len(traj.states) == grid.n_steps + 1
         assert traj.w[0] == 0.0 and traj.xi[0] == 0.0
         for state in traj.states[:: grid.n_steps // 10]:
-            validate_density(state.matrix)
+            validate_density(state)
 
     def test_eigenstate_absorption(self):
         # once the spread is tiny the trajectory must stay pinned to one
@@ -164,17 +162,17 @@ class TestSimulateSme:
                             sample_noise(grid, rng))
         span = 1.0
         eig_eps = 1e-18 * span**2
-        below = np.nonzero(traj.moments.V < eig_eps)[0]
+        below = np.nonzero(traj.V < eig_eps)[0]
         assert below.size > 0, "trajectory never reached the absorption region"
         k0 = int(below[0])
         spec = spectral_decompose(H2)
         anchor = min(
             range(spec.d),
-            key=lambda r: np.max(np.abs(traj.states[k0].matrix - spec.projectors[r])),
+            key=lambda r: np.max(np.abs(traj.states[k0] - spec.projectors[r])),
         )
         target = spec.projectors[anchor]
         worst = max(
-            float(np.max(np.abs(s.matrix - target))) for s in traj.states[k0:]
+            float(np.max(np.abs(s - target))) for s in traj.states[k0:]
         )
         assert worst <= 1e-9
 
@@ -245,17 +243,18 @@ class TestEigenbasisKernel:
                 assert caught.value.step == exc.step
                 continue
             traj = simulate_sme(rho0, h, sigma, hbar, grid, noise)
-            states = np.stack([s.matrix for s in traj.states])
-            assert np.max(np.abs(states - expected)) <= 1e-12
+            assert np.max(np.abs(traj.states - expected)) <= 1e-12
             assert traj.repairs == clamps
             for k in range(0, grid.n_steps + 1, 100):
                 m = moments(expected[k], h)
-                assert traj.moments.H[k] == pytest.approx(m.H, abs=1e-12)
-                assert traj.moments.V[k] == pytest.approx(m.V, abs=1e-12)
-                assert traj.moments.beta[k] == pytest.approx(m.beta, abs=1e-12)
+                assert traj.H[k] == pytest.approx(m.H, abs=1e-12)
+                assert traj.V[k] == pytest.approx(m.V, abs=1e-12)
+                assert traj.beta[k] == pytest.approx(m.beta, abs=1e-12)
                 assert traj.purity[k] == pytest.approx(np.vdot(expected[k], expected[k]).real, abs=1e-12)
-                for pair, norm in offdiag_norms(expected[k], spec).items():
-                    assert traj.offdiag[pair][k] == pytest.approx(norm, abs=1e-12)
+                assert np.max(np.abs(traj.pi[k] - spec.level_probabilities(expected[k]))) <= 1e-12
+                norms = offdiag_norms(expected[k], spec)
+                for slot, pair in enumerate(spec.pairs()):
+                    assert traj.offdiag[k, slot] == pytest.approx(norms[pair], abs=1e-12)
             compared += 1
         assert degenerate > 0 and compared >= 3
 
@@ -268,9 +267,9 @@ class TestEigenbasisKernel:
         noise = sample_noise(grid, np.random.default_rng(13))
         base = simulate_sme(rho0, h, 1.0, 1.0, grid, noise)
         turned = simulate_sme(u @ rho0 @ u.conj().T, u @ h @ u.conj().T, 1.0, 1.0, grid, noise)
-        expected = u @ np.stack([s.matrix for s in base.states]) @ u.conj().T
-        assert np.max(np.abs(np.stack([s.matrix for s in turned.states]) - expected)) <= 1e-12
-        assert np.max(np.abs(turned.moments.H - base.moments.H)) <= 1e-12
+        expected = u @ base.states @ u.conj().T
+        assert np.max(np.abs(turned.states - expected)) <= 1e-12
+        assert np.max(np.abs(turned.H - base.H)) <= 1e-12
         assert np.max(np.abs(turned.xi - base.xi)) <= 1e-12
 
     def test_divergence_names_failing_step(self):
@@ -399,15 +398,17 @@ class TestLindblad:
     def test_rk4_matches_the_exact_mean_state(self, name):
         # the mean-state equation is diagonal in the level blocks: the
         # populations stay put and each coherence block decays at
-        # sigma^2 (E_n - E_m)^2 / 8, which FilterModel.assemble writes out
+        # sigma^2 (E_n - E_m)^2 / 8, which FilterModel.mean_state writes out
+        # (for one time, as check_variance_decay asks, and for the whole
+        # grid, as the lindblad command asks)
         h, rho0 = INSTANCES[name]()
         sigma, hbar = 1.3, 0.8
         grid = TimeGrid.from_duration(2.0, 1e-3)
         path = integrate_lindblad(rho0, h, sigma, hbar, grid)
         model = FilterModel(rho0, spectral_decompose(h), sigma, hbar)
-        decay = np.exp(-0.125 * sigma**2 * model.pair_gap**2 * 2.0)
-        exact = model.assemble(2.0, model.p, decay)
-        assert np.max(np.abs(path[-1].matrix - exact)) < 1e-10
+        assert np.max(np.abs(path[-1].matrix - model.mean_state(2.0))) < 1e-10
+        rk4 = np.stack([s.matrix for s in path])
+        assert np.max(np.abs(rk4 - model.mean_state(grid.times()))) < 1e-10
 
 
 class TestIntegratorEnsemble:
@@ -424,9 +425,9 @@ class TestIntegratorEnsemble:
         states = np.empty((n, grid.n_steps + 1, 2, 2), dtype=complex)
         for i in range(n):
             traj = simulate_sme(rho0, H2, sigma, 1.0, grid, sample_noise(grid, rng))
-            h_paths[i] = traj.moments.H
-            v_paths[i] = traj.moments.V
-            states[i] = np.stack([s.matrix for s in traj.states])
+            h_paths[i] = traj.H
+            v_paths[i] = traj.V
+            states[i] = traj.states
 
         h0 = 0.5
         se_h = h_paths.std(axis=0, ddof=1) / np.sqrt(n)

@@ -9,12 +9,9 @@ from reduction_lab import (
     closed_form_state,
     closed_form_trajectory,
     default_horizon,
-    energy_estimate,
-    filter_weights,
     luders_state,
     make_information_path,
     moments,
-    phi_process,
     recovered_brownian,
     sample_terminal_energy,
     spectral_decompose,
@@ -23,7 +20,7 @@ from reduction_lab import (
     validate_density,
 )
 from reduction_lab.acceptance import random_instance
-from reduction_lab.errors import NonFiniteInput, SameLevel, ZeroProbabilitySubspace
+from reduction_lab.errors import NonFiniteInput, SameLevel
 from reduction_lab.filtering import _normalize_log
 from reduction_lab.instances import three_level, two_level
 
@@ -76,7 +73,7 @@ class TestInformationPath:
         grid = TimeGrid.from_duration(1.0, 0.1)
         path = make_information_path(1, SPEC2, sigma=2.0, grid=grid, rng=None)
         assert np.allclose(path.xi, 2.0 * grid.times())
-        assert np.all(path.b == 0.0)
+        assert np.array_equal(path.xi, 2.0 * SPEC2.energies[1] * grid.times())
 
     def test_increment_statistics(self):
         grid = TimeGrid.from_duration(1.0, 0.05)
@@ -99,34 +96,36 @@ class TestInformationPath:
 
 
 class TestFilterWeights:
+    # the filter weights are the posterior of FilterModel at one (t, xi)
     def test_time_zero_returns_priors(self):
-        fw = filter_weights(RHO_B, SPEC3, sigma=1.0, t=0.0, xi_t=0.0)
-        assert np.allclose(fw.probabilities, SPEC3.level_probabilities(RHO_B), atol=1e-14)
+        pi, _ = FilterModel(RHO_B, SPEC3, sigma=1.0).posterior(0.0, 0.0)
+        assert np.allclose(pi, SPEC3.level_probabilities(RHO_B), atol=1e-14)
 
     def test_two_level_scalar_oracle(self):
         # direct evaluation: pi_2 = e^{1/2} / (1 + e^{1/2})
-        fw = filter_weights(HALF, SPEC2, sigma=1.0, t=1.0, xi_t=1.0)
+        pi, _ = FilterModel(HALF, SPEC2, sigma=1.0).posterior(1.0, 1.0)
         expected = np.exp(0.5) / (1.0 + np.exp(0.5))
-        assert fw.probabilities[1] == pytest.approx(expected, abs=1e-12)
-        assert fw.probabilities[1] == pytest.approx(0.62246, abs=5e-6)
+        assert pi[1] == pytest.approx(expected, abs=1e-12)
+        assert pi[1] == pytest.approx(0.62246, abs=5e-6)
 
     def test_large_observation_selects_top_level(self):
-        fw = filter_weights(RHO_B, SPEC3, sigma=1.0, t=2.0, xi_t=500.0)
-        assert fw.probabilities[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.isfinite(fw.log_weights[np.isfinite(fw.log_weights)]))
+        pi, log_z = FilterModel(RHO_B, SPEC3, sigma=1.0).posterior(2.0, 500.0)
+        assert pi[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(pi)) and np.isfinite(log_z)
 
     def test_probabilities_normalized(self):
+        model = FilterModel(RHO_B, SPEC3, 1.0)
         rng = np.random.default_rng(4)
         for _ in range(25):
             xi = float(rng.normal(scale=30.0))
             t = float(rng.uniform(0, 40))
-            fw = filter_weights(RHO_B, SPEC3, 1.0, t, xi)
-            assert fw.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(fw.probabilities >= 0)
+            pi, _ = model.posterior(t, xi)
+            assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(pi >= 0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
-            filter_weights(HALF, SPEC2, 1.0, np.inf, 0.0)
+            state_decomposition(HALF, SPEC2, 1.0, 1.0, np.inf, 0.0)
 
 
 class TestNormalizeLog:
@@ -154,8 +153,8 @@ class TestClosedFormState:
     def test_energy_diagonal_initial_state_follows_weights(self):
         rho0 = np.diag([0.25, 0.25, 0.5]).astype(complex)
         out = closed_form_state(rho0, SPEC3, 1.0, 1.0, 0.7, 1.3)
-        fw = filter_weights(rho0, SPEC3, 1.0, 0.7, 1.3)
-        assert np.allclose(np.diag(out.matrix).real, fw.probabilities, atol=1e-12)
+        pi, _ = FilterModel(rho0, SPEC3, 1.0).posterior(0.7, 1.3)
+        assert np.allclose(np.diag(out.matrix).real, pi, atol=1e-12)
         assert np.max(np.abs(out.matrix - np.diag(np.diag(out.matrix)))) < 1e-15
 
     def test_pure_state_stays_pure(self):
@@ -187,13 +186,12 @@ class TestClosedFormState:
             b = np.zeros(grid.n_steps + 1)
             b[1:] = np.cumsum(b_incr)
             xi = model.energies[level] * times + b
-            path = InformationPath(grid=grid, level=level,
-                                   h_value=float(model.energies[level]), b=b, xi=xi)
+            path = InformationPath(grid=grid, level=level, xi=xi)
             w = recovered_brownian(path, RHO_B, SPEC3, 1.0)
             traj = simulate_sme(RHO_B, H3, 1.0, 1.0, grid, NoisePath(increments=np.diff(w)))
             pi, log_z = model.posterior(times, xi)
             exact = model.assemble(times, pi, model.phi(times, xi, pi))
-            return float(np.max(np.abs(np.stack([s.matrix for s in traj.states]) - exact)))
+            return float(np.max(np.abs(traj.states - exact)))
 
         err_coarse = run(dw_fine.reshape(-1, 4).sum(axis=1), dt)
         err_fine = run(dw_fine, dt / 4)
@@ -203,6 +201,12 @@ class TestClosedFormState:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             closed_form_state(RHO_B, SPEC3, 1.0, 1.0, 1.0, np.nan)
+
+
+def energy_estimate(rho0, spec, sigma, t, xi):
+    """Conditional energy sum_r pi_r(t) E_r at one observation."""
+    model = FilterModel(rho0, spec, sigma)
+    return float(model.energy(model.posterior(t, xi)[0]))
 
 
 class TestEnergyEstimate:
@@ -263,25 +267,24 @@ class TestRecoveredBrownian:
 
 
 class TestPhiProcess:
+    # Phi_nm and the phase exp[-i (E_n - E_m) t / hbar] of the block
+    # P_n rho_t P_m, from FilterModel.phi and .pair_phases (pairs n < m)
     def test_time_zero_unity(self):
-        phi, phase = phi_process(0, 1, RHO_B, SPEC3, 1.0, 0.0, 0.0)
-        assert phi == pytest.approx(1.0, abs=1e-12)
-        assert phase == pytest.approx(1.0 + 0.0j)
-
-    def test_same_level_rejected(self):
-        with pytest.raises(SameLevel):
-            phi_process(1, 1, RHO_B, SPEC3, 1.0, 1.0, 0.0)
+        model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
+        assert model.phi(0.0, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert model.pair_phases(0.0)[0] == pytest.approx(1.0 + 0.0j)
 
     def test_phase_carries_level_gap(self):
-        _, phase = phi_process(0, 2, RHO_B, SPEC3, 1.0, 0.25, 0.0, hbar=2.0)
+        model = FilterModel(RHO_B, SPEC3, 1.0, hbar=2.0)
+        phase = model.pair_phases(0.25)[model.pairs.index((0, 2))]
         assert phase == pytest.approx(np.exp(-1j * (0.0 - 2.0) * 0.25 / 2.0))
 
     def test_scalar_matches_vectorized_model(self):
         model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
         t, xi = 3.0, 1.7
-        batch = model.phi(t, xi)
-        for slot, (n, m) in enumerate(model.pairs):
-            phi, _ = phi_process(n, m, RHO_B, SPEC3, 1.0, t, xi)
+        batch = model.phi(np.array([0.5, t]), np.array([-1.0, xi]))[1]
+        for slot in range(len(model.pairs)):
+            phi = model.phi(t, xi)[slot]
             assert phi == pytest.approx(float(batch[slot]), rel=1e-12)
 
     def test_mean_decay_rate(self):
@@ -462,16 +465,15 @@ class TestClosedFormTrajectory:
         traj = closed_form_trajectory(model, path)
         k = 7
         t, xi = grid.times()[k], float(path.xi[k])
-        fw = filter_weights(RHO_B, SPEC3, 1.0, t, xi)
-        assert np.allclose(traj.pi[k], fw.probabilities, atol=1e-12)
+        pi, _ = model.posterior(t, xi)
+        assert np.allclose(traj.pi[k], pi, atol=1e-12)
         state = closed_form_state(RHO_B, SPEC3, 1.0, 1.0, t, xi)
         assert traj.purity[k] == pytest.approx(state.purity(), abs=1e-10)
         assert traj.H[k] == pytest.approx(moments(state, H3).H, abs=1e-10)
         assert traj.V[k] == pytest.approx(moments(state, H3).V, abs=1e-10)
         w = recovered_brownian(path, RHO_B, SPEC3, 1.0)
         assert np.array_equal(traj.w, w)
-        for slot, (n_, m_) in enumerate(model.pairs):
-            phi, _ = phi_process(n_, m_, RHO_B, SPEC3, 1.0, t, xi)
+        for slot, phi in enumerate(model.phi(t, xi)):
             assert traj.phi[k, slot] == pytest.approx(phi, rel=1e-12)
 
     def test_states_assembled_from_columns_are_valid(self):

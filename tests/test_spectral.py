@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from reduction_lab import (
-    DEFAULT_TOLS,
     luders_state,
     moments,
     offdiag_norms,
@@ -88,7 +87,7 @@ class TestSpectralDecompose:
         n = int(rng.integers(2, 7))
         h = random_hermitian(rng, n)
         spec = spectral_decompose(h)
-        tol = DEFAULT_TOLS.matrix_tol
+        tol = 1e-9
         total = np.zeros((n, n), dtype=complex)
         for r, p in enumerate(spec.projectors):
             assert np.max(np.abs(p - p.conj().T)) <= tol
@@ -98,7 +97,7 @@ class TestSpectralDecompose:
             total += p
         assert np.max(np.abs(total - np.eye(n))) <= tol
         scale = max(1.0, float(np.max(np.abs(spec.energies))))
-        assert np.max(np.abs(spec.reconstruct() - h)) <= DEFAULT_TOLS.reconstruction_tol * scale
+        assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-8 * scale
         assert np.all(np.diff(spec.energies) > 0)
 
     def test_strictly_increasing_after_merge(self):

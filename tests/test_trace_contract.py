@@ -3,9 +3,12 @@
 perfbench/trace_hook/layer_trace.py wraps the functions it lists in
 TRACED and reads per-call attributes from their positional arguments
 (`xi` is args[2] of FilterModel.posterior and .phi; `times`, `lo` and `hi`
-of harness._run_chunk). A rename or a keyword-only call breaks the traced
-benchmark run; these tests catch that here. The tracer module is only
-read, never changed.
+of harness._run_chunk; `grid` is args[4] of simulate_sme and
+integrate_lindblad; `path` and `columns` of write_csv). The benchmark
+counts SDE work as calls of dynamics.sme_step, so simulate_sme must step
+through that public name. A rename, a keyword-only call or a step that
+bypasses sme_step breaks the traced benchmark run; these tests catch that
+here. The tracer module is only read, never changed.
 """
 
 import importlib
@@ -13,7 +16,17 @@ import inspect
 import types
 from pathlib import Path
 
-from reduction_lab import EnsembleConfig, TimeGrid, harness, run_ensemble
+import numpy as np
+
+from reduction_lab import (
+    EnsembleConfig,
+    TimeGrid,
+    dynamics,
+    harness,
+    reporting,
+    run_ensemble,
+    spectral_decompose,
+)
 from reduction_lab.filtering import FilterModel
 from reduction_lab.instances import three_level
 
@@ -63,3 +76,33 @@ def test_traced_points_cover_the_ensemble(monkeypatch):
     expected = cfg.n_paths * len(grid.times())
     assert points == {"filtering.posterior": expected, "filtering.phi": expected,
                       "harness.chunk": expected}
+
+
+def test_sde_and_csv_call_shapes():
+    for fn in (dynamics.simulate_sme, dynamics.integrate_lindblad):
+        assert list(inspect.signature(fn).parameters)[4] == "grid", fn.__name__
+    assert list(inspect.signature(reporting.write_csv).parameters) == ["path", "columns"]
+
+
+def test_traced_sde_steps_and_csv_values(monkeypatch, tmp_path):
+    lt = load_layer_trace()
+    attrs = {span: fn for _, _, span, fn in lt.TRACED}
+    tracer = lt.Tracer()
+    for module, name, span in ((dynamics, "sme_step", "dynamics.sme_step"),
+                               (dynamics, "simulate_sme", "dynamics.simulate_sme"),
+                               (reporting, "write_csv", "reporting.write_csv")):
+        monkeypatch.setattr(module, name, tracer.wrap(span, getattr(module, name), attrs[span]))
+    h, rho0 = three_level()
+    grid = TimeGrid.from_duration(0.05, 1e-3)
+    noise = dynamics.sample_noise(grid, np.random.default_rng(3))
+    traj = dynamics.simulate_sme(rho0, h, 1.0, 1.0, grid, noise)
+    path = tmp_path / "trajectory.csv"
+    reporting.write_csv(str(path), reporting.trajectory_columns(traj, spectral_decompose(h)))
+
+    entries = {span: entry for (span, _), entry in tracer.totals.items()}
+    assert grid.n_steps == 50
+    assert entries["dynamics.sme_step"]["calls"] == grid.n_steps
+    assert entries["dynamics.simulate_sme"]["sums"] == {"steps": grid.n_steps}
+    csv = entries["reporting.write_csv"]["sums"]
+    assert csv == {"rows": grid.n_steps + 1, "values": (grid.n_steps + 1) * 12,
+                   "bytes": path.stat().st_size}
