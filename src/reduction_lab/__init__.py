@@ -24,14 +24,13 @@ from .filtering import (
     default_horizon,
     make_information_path,
     recovered_brownian,
-    sample_terminal_energy,
+    sde_gap,
     state_decomposition,
     type_d_decomposition,
 )
 from .harness import EnsembleConfig, EnsembleSummary, Verdict, run_ensemble
 from .spectral import (
     DEFAULT_TOLS,
-    DensityMatrix,
     SpectralDecomposition,
     StateMoments,
     ToleranceSet,

@@ -26,13 +26,14 @@ import numpy as np
 import reduction_lab
 
 from .config import RunConfig
-from .dynamics import NoisePath, TimeGrid, simulate_sme
+from .dynamics import NoisePath, TimeGrid, sample_noise
 from .errors import ReductionLabError
 from .filtering import (
     FilterModel,
-    InformationPath,
     closed_form_state,
     closed_form_trajectory,
+    make_information_path,
+    sde_gap,
     state_decomposition,
 )
 from .harness import EnsembleConfig, run_ensemble
@@ -123,43 +124,31 @@ def ensemble_c() -> "EnsembleSummary":
 # criterion 1: closed form vs SDE integrator on one shared path
 
 
-def _sde_vs_closed_form(model, spec, h, rho0, level, b_fine, t_max, dt):
+def _sde_vs_closed_form(model, h, level, grid, noise):
     """Entrywise gap between the integrated SDE (driven by the reconstructed
     Brownian increments) and the exact states: (max over grid, RMS over grid)."""
-    grid = TimeGrid.from_duration(t_max, dt)
-    times = grid.times()
-    b = np.zeros(grid.n_steps + 1)
-    b[1:] = np.cumsum(b_fine)
-    xi = model.sigma * spec.energies[level] * times + b
-    path = InformationPath(grid=grid, level=level, xi=xi)
-    closed = closed_form_trajectory(model, path)
-    noise = NoisePath(increments=np.diff(closed.w))
-    trajectory = simulate_sme(rho0, h, model.sigma, model.hbar, grid, noise, spec=spec)
-
-    exact = model.assemble(times, closed.pi, closed.phi)
-    per_time = np.max(np.abs(trajectory.states - exact), axis=(1, 2))
+    path = make_information_path(level, model.spec, model.sigma, grid, noise)
+    _, per_time = sde_gap(model, closed_form_trajectory(model, path), h)
     return float(per_time.max()), float(np.sqrt(np.mean(per_time**2)))
 
 
 def criterion_oracle_equivalence() -> CriterionResult:
     started = time.perf_counter()
     h, rho0 = three_level()
-    spec = spectral_decompose(h)
-    model = FilterModel(rho0, spec, sigma=1.0, hbar=1.0)
+    model = FilterModel(rho0, spectral_decompose(h), sigma=1.0, hbar=1.0)
     t_max, dt = 1.0, 1e-3
 
+    # one path at dt and at dt / 2, the coarse increments summed from the fine
     rng = np.random.default_rng(SEED_ORACLE)
-    p = spec.level_probabilities(rho0)
-    level = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-    n_fine = 2 * round(t_max / dt)
-    dw_fine = rng.standard_normal(n_fine) * np.sqrt(dt / 2.0)
+    level = model.draw_level(rng)
+    fine = TimeGrid.from_duration(t_max, dt / 2.0)
+    dw_fine = sample_noise(fine, rng)
+    coarse = NoisePath(increments=dw_fine.increments.reshape(-1, 2).sum(axis=1))
 
     err_coarse, rms_coarse = _sde_vs_closed_form(
-        model, spec, h, rho0, level, dw_fine.reshape(-1, 2).sum(axis=1), t_max, dt
+        model, h, level, TimeGrid.from_duration(t_max, dt), coarse
     )
-    err_fine, rms_fine = _sde_vs_closed_form(
-        model, spec, h, rho0, level, dw_fine, t_max, dt / 2.0
-    )
+    err_fine, rms_fine = _sde_vs_closed_form(model, h, level, fine, dw_fine)
     ratio = err_fine / err_coarse
     passed = err_coarse < 5e-3 and 0.35 <= ratio <= 0.75
     result = _result(
@@ -329,8 +318,7 @@ def random_instance(rng: np.random.Generator):
     hbar = float(rng.uniform(0.5, 2.0))
     t = float(rng.uniform(0.0, 5.0))
     spec = spectral_decompose(h)
-    p = spec.level_probabilities(rho0)
-    level = int(np.searchsorted(np.cumsum(p / p.sum()), rng.random(), side="right"))
+    level = FilterModel(rho0, spec, sigma).draw_level(rng)
     xi = sigma * float(spec.energies[level]) * t + float(rng.standard_normal()) * np.sqrt(max(t, 1e-12))
     return h, rho0, spec, sigma, hbar, t, xi
 
@@ -343,7 +331,7 @@ def criterion_internal_consistency(n_instances: int = 100) -> CriterionResult:
         h, rho0, spec, sigma, hbar, t, xi = random_instance(rng)
         direct = closed_form_state(rho0, spec, sigma, hbar, t, xi)
         assembled = state_decomposition(rho0, spec, sigma, hbar, t, xi)
-        worst = max(worst, float(np.max(np.abs(direct.matrix - assembled.matrix))))
+        worst = max(worst, float(np.max(np.abs(direct - assembled))))
     return _result(
         8,
         "propagator route == conditioned-decomposition route",

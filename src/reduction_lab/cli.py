@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands:
-  simulate   one trajectory -> CSV (t, H_t, V_t, purity, xi, W, pi_r, |R_nm|)
+  simulate   one trajectory, path 0 of the ensemble with the same seed ->
+             CSV (t, H_t, V_t, purity, xi, W, pi_r, |R_nm|)
   ensemble   Monte Carlo run -> summary JSON + per-time CSV of means/stderrs
   lindblad   exact ensemble mean state -> CSV of matrix entries
   verify     built-in verification suite; nonzero exit on any failure
@@ -16,8 +17,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import acceptance
 from .config import (
     MODES,
@@ -27,16 +26,16 @@ from .config import (
     validate_n_paths,
     validate_seed,
 )
-from .dynamics import NoisePath, sample_noise, simulate_sme
+from .dynamics import sample_noise, simulate_sme
 from .errors import ReductionLabError
 from .filtering import (
     FilterModel,
     closed_form_trajectory,
     default_horizon,
     make_information_path,
-    sample_terminal_energy,
+    sde_gap,
 )
-from .harness import EnsembleConfig, run_ensemble
+from .harness import EnsembleConfig, path_rng, run_ensemble
 from .reporting import (
     lindblad_columns,
     summary_columns,
@@ -71,40 +70,34 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
-def _resolve_t_max(cfg: RunConfig, spec, rho0) -> float:
-    if cfg.t_max is not None:
-        return cfg.t_max
-    return default_horizon(spec, rho0, cfg.sigma)
-
-
-def cmd_simulate(args) -> int:
+def _setup(args):
+    """(config, validated rho_0, spectral decomposition, grid): the
+    prologue of every command that runs one instance."""
     cfg = _load_config(args)
     rho0 = validate_density(cfg.rho0, cfg.tolerances)
     spec = spectral_decompose(cfg.hamiltonian, tols=cfg.tolerances)
-    grid = cfg.grid(_resolve_t_max(cfg, spec, rho0))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
+    t_max = cfg.t_max if cfg.t_max is not None else default_horizon(spec, rho0, cfg.sigma)
+    return cfg, rho0, spec, cfg.grid(t_max)
+
+
+def cmd_simulate(args) -> int:
+    cfg, rho0, spec, grid = _setup(args)
+    # the trajectory is path 0 of an ensemble with the same seed
+    rng = path_rng(cfg.seed, 0)
 
     if cfg.mode == "sde":
-        noise = sample_noise(grid, rng)
         traj = sde = simulate_sme(
-            rho0, cfg.hamiltonian, cfg.sigma, cfg.hbar, grid, noise,
+            rho0, cfg.hamiltonian, cfg.sigma, cfg.hbar, grid, sample_noise(grid, rng),
             tols=cfg.tolerances, spec=spec,
         )
     else:
         model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
-        level = sample_terminal_energy(rho0, spec, rng, cfg.tolerances)
-        path = make_information_path(level, spec, cfg.sigma, grid, rng)
+        level = model.draw_level(rng)
+        path = make_information_path(level, spec, cfg.sigma, grid, sample_noise(grid, rng))
         traj = closed_form_trajectory(model, path)
         if cfg.mode == "both":
-            # drive the SDE integrator with the reconstructed increments and
-            # report how far it lands from the exact trajectory
-            sde = simulate_sme(
-                rho0, cfg.hamiltonian, cfg.sigma, cfg.hbar, grid,
-                NoisePath(increments=np.diff(traj.w)), tols=cfg.tolerances, spec=spec,
-            )
-            exact = model.assemble(grid.times(), traj.pi, traj.phi)
-            gap = float(np.max(np.abs(sde.states - exact)))
-            print(f"max |integrated - closed form| over the grid: {gap:.3e}")
+            sde, gap = sde_gap(model, traj, cfg.hamiltonian, cfg.tolerances)
+            print(f"max |integrated - closed form| over the grid: {gap.max():.3e}")
     if cfg.mode != "closed-form":
         print(f"sde repairs: {sde.repairs} of {grid.n_steps} steps", file=sys.stderr)
 
@@ -115,13 +108,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    cfg = _load_config(args)
-    rho0 = validate_density(cfg.rho0, cfg.tolerances)
-    spec = spectral_decompose(cfg.hamiltonian, tols=cfg.tolerances)
-    grid = cfg.grid(_resolve_t_max(cfg, spec, rho0))
+    cfg, rho0, _, grid = _setup(args)
     ensemble_cfg = EnsembleConfig(
         hamiltonian=cfg.hamiltonian,
-        rho0=rho0.matrix,
+        rho0=rho0,
         grid=grid,
         n_paths=cfg.n_paths,
         base_seed=cfg.seed,
@@ -157,10 +147,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_lindblad(args) -> int:
-    cfg = _load_config(args)
-    rho0 = validate_density(cfg.rho0, cfg.tolerances)
-    spec = spectral_decompose(cfg.hamiltonian, tols=cfg.tolerances)
-    grid = cfg.grid(_resolve_t_max(cfg, spec, rho0))
+    cfg, rho0, spec, grid = _setup(args)
     model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
     out = _out_path(cfg, cfg.lindblad_file)
     write_csv(out, lindblad_columns(model.mean_state(grid.times()), grid))

@@ -9,6 +9,8 @@ tree are rejected with the offending field path.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,25 +86,30 @@ def check_grid_size(t_max: float, dt: float) -> None:
 
 
 def _positive(value, name, strict=True):
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: expected a number") from exc
-    if strict and value <= 0:
-        raise ValidationError(f"{name}: must be > 0, got {value}")
-    if not strict and value < 0:
-        raise ValidationError(f"{name}: must be >= 0, got {value}")
-    return value
+    """A finite real number, not a bool: > 0, or >= 0 when not strict."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:       # an integer beyond the float range
+            pass
+    if not math.isfinite(number):
+        raise ValidationError(f"{name}: expected a finite number, got {value!r}")
+    if strict and number <= 0:
+        raise ValidationError(f"{name}: must be > 0, got {number}")
+    if not strict and number < 0:
+        raise ValidationError(f"{name}: must be >= 0, got {number}")
+    return number
 
 
 def validate_n_paths(n) -> int:
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"n_paths: expected a positive integer, got {n!r}")
     return n
 
 
 def validate_seed(seed) -> int:
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"seed: expected a nonnegative integer, got {seed!r}")
     return seed
 
@@ -110,12 +117,27 @@ def validate_seed(seed) -> int:
 def validate_checks(checks) -> tuple:
     from .harness import CHECK_NAMES
 
-    if not isinstance(checks, list):
+    if not isinstance(checks, (list, tuple)):
         raise ValidationError("checks: expected a list of check names")
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ValidationError(f"checks: unknown names {sorted(unknown)}")
     return tuple(checks)
+
+
+def validate_check_times(times) -> tuple:
+    if not isinstance(times, (list, tuple)):
+        raise ValidationError("check_times: expected a list of times")
+    return tuple(_positive(t, "check_times", strict=False) for t in times)
+
+
+def validate_sampler_bias(bias) -> tuple:
+    if not isinstance(bias, (list, tuple)) or not bias:
+        raise ValidationError("sampler_bias: expected a nonempty list of weights")
+    bias = tuple(_positive(b, "sampler_bias", strict=False) for b in bias)
+    if not sum(bias) > 0:
+        raise ValidationError("sampler_bias: at least one weight must be > 0")
+    return bias
 
 
 @dataclass
@@ -287,10 +309,7 @@ def parse_config(text: str) -> RunConfig:
     if "checks" in raw:
         cfg["checks"] = validate_checks(raw["checks"])
     if "check_times" in raw:
-        times = raw["check_times"]
-        if not isinstance(times, list):
-            raise ValidationError("check_times: expected a list of times")
-        cfg["check_times"] = tuple(_positive(t, "check_times", strict=False) for t in times)
+        cfg["check_times"] = validate_check_times(raw["check_times"])
     if "output" in raw:
         _reject_unknown(raw["output"], _OUTPUT_KEYS, "output")
         mapping = {
@@ -310,15 +329,7 @@ def parse_config(text: str) -> RunConfig:
         cfg["ci_multiplier"] = _positive(raw["ci_multiplier"], "ci_multiplier")
     if "drift_multiplier" in raw:
         cfg["drift_multiplier"] = _positive(raw["drift_multiplier"], "drift_multiplier")
-    if "sampler_bias" in raw:
-        bias = raw["sampler_bias"]
-        if bias is not None:
-            if not isinstance(bias, list) or not bias:
-                raise ValidationError("sampler_bias: expected a nonempty list of weights")
-            cfg["sampler_bias"] = tuple(
-                _positive(b, "sampler_bias", strict=False) for b in bias
-            )
-            if not sum(cfg["sampler_bias"]) > 0:
-                raise ValidationError("sampler_bias: at least one weight must be > 0")
+    if raw.get("sampler_bias") is not None:
+        cfg["sampler_bias"] = validate_sampler_bias(raw["sampler_bias"])
 
     return RunConfig(**cfg)

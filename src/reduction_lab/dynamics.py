@@ -20,7 +20,8 @@ is elementwise: (E_i - E_j) rho_ij, -(E_i - E_j)^2 rho_ij and
 one eigvalsh, ~40 us on one core for three levels. Euler-Maruyama does not
 preserve positivity, so each step is repaired: hermitize, renormalize the
 trace, and clamp slightly negative eigenvalues; a violation beyond
-clamp_tol raises StepDivergence.
+clamp_tol raises StepDivergence. States are plain frozen arrays: sme_step
+returns (state, clamped) and simulate_sme counts the clamped steps.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ import numpy as np
 from .errors import DimensionMismatch, StepDivergence
 from .spectral import (
     DEFAULT_TOLS,
-    DensityMatrix,
     SpectralDecomposition,
     ToleranceSet,
     _freeze,
-    _mat,
     hermitian_part,
     spectral_decompose,
     validate_density,
@@ -116,13 +115,9 @@ class Trajectory:
     repairs: int                  # steps whose state the PSD clamp repaired
 
 
-class ClampedDensity(DensityMatrix):
-    """A stepped state that needed the PSD clamp; simulate_sme counts these."""
-
-
 def _eigenbasis(rho, h):
     """(rho in H's eigenbasis, eigenvalues, basis); basis is None for a 1-D h."""
-    r, a = _mat(rho), np.asarray(_mat(h))
+    r, a = np.asarray(rho), np.asarray(h)
     if r.shape != (len(a), len(a)):
         raise DimensionMismatch(r.shape, a.shape)
     if a.ndim == 1:
@@ -189,19 +184,19 @@ def sme_step(
     dt: float,
     dw: float,
     tols: ToleranceSet = DEFAULT_TOLS,
-) -> DensityMatrix:
-    """One Euler-Maruyama step of the nonlinear stochastic master equation.
+) -> tuple:
+    """One Euler-Maruyama step of the nonlinear stochastic master equation:
+    (the stepped state, whether it needed the PSD clamp).
 
     The step runs in the eigenbasis of H and returns in rho's basis. h is a
     Hamiltonian matrix, or the 1-D eigenvalues of one that is diagonal in
-    rho's basis, as simulate_sme passes it. A step that needed the PSD
-    clamp comes back as a ClampedDensity.
+    rho's basis, as simulate_sme passes it.
     """
     r, e, basis = _eigenbasis(rho, h)
     a, clamped = _clamp(_euler(r, e, sigma, hbar, dt, dw), tols)
     if basis is not None:
         a = hermitian_part(basis @ a @ basis.conj().T)
-    return (ClampedDensity if clamped else DensityMatrix)(_freeze(a))
+    return _freeze(a), clamped
 
 
 def simulate_sme(
@@ -224,7 +219,7 @@ def simulate_sme(
         spec = spectral_decompose(h, tols=tols)
 
     e, basis = spec.eigenvalues, spec.basis
-    rho = validate_density(rho0, tols).matrix
+    rho = validate_density(rho0, tols)
     if rho.shape != basis.shape:
         raise DimensionMismatch(rho.shape, basis.shape)
     stack = np.empty((grid.n_steps + 1,) + basis.shape, dtype=complex)
@@ -232,11 +227,10 @@ def simulate_sme(
     repairs = 0
     for k, dw in enumerate(noise.increments):
         try:
-            state = sme_step(stack[k], e, sigma, hbar, grid.dt, dw, tols)
+            stack[k + 1], clamped = sme_step(stack[k], e, sigma, hbar, grid.dt, dw, tols)
         except StepDivergence as exc:
             raise StepDivergence(str(exc), step=k) from exc
-        stack[k + 1] = state.matrix
-        repairs += isinstance(state, ClampedDensity)
+        repairs += clamped
 
     # in the eigenbasis the level projectors are index masks
     p = stack.diagonal(axis1=1, axis2=2).real
@@ -278,7 +272,7 @@ def sse_step(
 ) -> np.ndarray:
     """One Euler-Maruyama step of the pure-state reduction equation,
     renormalized to unit norm."""
-    a = _mat(h)
+    a = np.asarray(h)
     psi = np.asarray(psi, dtype=complex)
     norm2 = np.vdot(psi, psi).real
     if norm2 <= 0:
@@ -302,8 +296,8 @@ def lindblad_rhs(rho_bar: np.ndarray, h, sigma: float, hbar: float) -> np.ndarra
     Accepts any trace-one Hermitian matrix; positivity is not required
     mid-integration.
     """
-    a = _mat(h)
-    r = np.asarray(_mat(rho_bar), dtype=complex)
+    a = np.asarray(h)
+    r = np.asarray(rho_bar, dtype=complex)
     if r.shape != a.shape:
         raise DimensionMismatch(r.shape, a.shape)
     commutator = a @ r - r @ a
@@ -314,16 +308,17 @@ def lindblad_rhs(rho_bar: np.ndarray, h, sigma: float, hbar: float) -> np.ndarra
 
 def integrate_lindblad(
     rho0, h, sigma: float, hbar: float, grid: TimeGrid
-) -> list:
+) -> np.ndarray:
     """Classical RK4 on the mean-state equation; trace renormalized each step.
 
-    Returns the list of mean states at every grid point: the numerical
-    oracle of the closed form FilterModel.mean_state.
+    Returns the frozen (n_points, N, N) stack of mean states at every grid
+    point: the numerical oracle of the closed form FilterModel.mean_state.
     """
-    a = _mat(h)
-    r = np.asarray(_mat(rho0), dtype=complex)
+    a = np.asarray(h)
+    r = np.asarray(rho0, dtype=complex)
     dt = grid.dt
-    out = [DensityMatrix(_freeze(hermitian_part(r)))]
+    out = np.empty((grid.n_steps + 1,) + r.shape, dtype=complex)
+    out[0] = hermitian_part(r)
     for k in range(grid.n_steps):
         k1 = lindblad_rhs(r, a, sigma, hbar)
         k2 = lindblad_rhs(r + 0.5 * dt * k1, a, sigma, hbar)
@@ -333,9 +328,8 @@ def integrate_lindblad(
         trace = np.trace(r).real
         if not np.isfinite(trace) or trace <= 0:
             raise StepDivergence(f"trace collapsed to {trace}", step=k)
-        r = hermitian_part(r / trace)
-        out.append(DensityMatrix(_freeze(r)))
-    return out
+        out[k + 1] = r = hermitian_part(r / trace)
+    return _freeze(out)
 
 
 def variance_bound(v0: float, sigma: float, t) -> np.ndarray | float:

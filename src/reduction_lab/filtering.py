@@ -14,12 +14,14 @@ Brownian motion are then explicit functionals of (t, xi_t):
     K_t      =  exp[-i H t / hbar + sigma H xi_t / 2 - sigma^2 H^2 t / 4]
     W_t      =  xi_t - sigma * integral_0^t H_s ds
 
-FilterModel evaluates the posterior and everything that is a function of
-it: Phi, H_t, V_t, purity, |R_nm|, the assembled states and the exact mean
-state; closed_form_state keeps the propagator route as an independent
-cross-check. The posterior is the one FilterModel quantity evaluated in
-the log domain, with max-subtraction; the raw formula overflows double
-precision once sigma E_r xi_t is large.
+FilterModel holds the constants of one instance (p_r, H_0, V_0, the decay
+rates, the level distribution) and evaluates the posterior and everything
+that is a function of it: Phi, H_t, V_t, purity, |R_nm|, the assembled
+states and the exact mean state. closed_form_state keeps the propagator
+route as an independent cross-check, and sde_gap holds a closed-form path
+against the SDE integrator. The posterior is the one FilterModel quantity
+evaluated in the log domain, with max-subtraction; the raw formula
+overflows double precision once sigma E_r xi_t is large.
 
 The decay factor of an off-diagonal block is a closed form of the posterior:
 
@@ -36,15 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeGrid
+from .dynamics import NoisePath, TimeGrid, simulate_sme
 from .errors import DegenerateDistribution, NonFiniteInput, SameLevel
 from .spectral import (
     DEFAULT_TOLS,
-    DensityMatrix,
     SpectralDecomposition,
     ToleranceSet,
     _freeze,
-    _mat,
     frobenius_norm,
     hermitian_part,
     luders_state,
@@ -63,7 +63,7 @@ class InformationPath:
 
 
 def _level_probabilities(rho0, spec: SpectralDecomposition) -> np.ndarray:
-    p = spec.level_probabilities(_mat(rho0))
+    p = spec.level_probabilities(rho0)
     p = np.clip(p, 0.0, None)
     total = p.sum()
     if total <= 0:
@@ -148,17 +148,10 @@ def _level_dot(a, weights, out=None, squared=False):
     return out
 
 
-def sample_terminal_energy(
-    rho0, spec: SpectralDecomposition, rng: np.random.Generator,
-    tols: ToleranceSet = DEFAULT_TOLS,
-) -> int:
-    """Draw the signal level with probabilities p_r = tr(rho_0 P_r)."""
-    p = spec.level_probabilities(_mat(rho0))
-    if np.all(p < tols.luders_floor):
-        raise DegenerateDistribution("all level probabilities below floor")
-    p = np.clip(p, 0.0, None)
-    cumulative = np.cumsum(p / p.sum())
-    return int(np.searchsorted(cumulative, rng.random(), side="right"))
+def level_cdf(weights) -> np.ndarray:
+    """Cumulative distribution of levels drawn with the given weights."""
+    weights = np.asarray(weights, dtype=float)
+    return np.cumsum(weights / weights.sum())
 
 
 def make_information_path(
@@ -166,17 +159,18 @@ def make_information_path(
     spec: SpectralDecomposition,
     sigma: float,
     grid: TimeGrid,
-    rng: np.random.Generator | None,
+    noise: NoisePath | None,
 ) -> InformationPath:
-    """Sample xi_t = sigma t E_level + B_t on the grid.
+    """xi_t = sigma t E_level + B_t on the grid, with B the running sum of
+    the noise increments.
 
-    rng=None suppresses the noise (B identically zero), which isolates the
+    noise=None suppresses the noise (B identically zero), which isolates the
     deterministic drift.
     """
     times = grid.times()
     b = np.zeros(grid.n_steps + 1)
-    if rng is not None:
-        b[1:] = np.cumsum(rng.standard_normal(grid.n_steps) * np.sqrt(grid.dt))
+    if noise is not None:
+        b[1:] = np.cumsum(noise.increments)
     xi = sigma * float(spec.energies[level]) * times + b
     return InformationPath(grid=grid, level=level, xi=_freeze(xi))
 
@@ -189,7 +183,7 @@ def closed_form_state(
     t: float,
     xi_t: float,
     tols: ToleranceSet = DEFAULT_TOLS,
-) -> DensityMatrix:
+) -> np.ndarray:
     """Propagate rho_0 to time t with the exact stochastic map.
 
     Works level-by-level: the propagator is scalar on each eigenspace,
@@ -200,7 +194,7 @@ def closed_form_state(
     """
     if not (np.isfinite(t) and np.isfinite(xi_t)):
         raise NonFiniteInput(f"t={t}, xi={xi_t}")
-    rho = _mat(rho0)
+    rho = np.asarray(rho0)
     p = _level_probabilities(rho0, spec)
     supported = p > 0
     log_mag = 0.5 * sigma * spec.energies * xi_t - 0.25 * sigma**2 * spec.energies**2 * t
@@ -218,6 +212,19 @@ def closed_form_state(
     if not np.isfinite(trace) or trace <= 0:
         raise NonFiniteInput(f"propagated trace {trace}")
     return validate_density(unnormalized / trace, tols)
+
+
+def sde_gap(model: "FilterModel", closed: "FilterTrajectory", h,
+            tols: ToleranceSet = DEFAULT_TOLS) -> tuple:
+    """Drive the SDE integrator with the Brownian increments recovered from
+    a closed-form trajectory: (the SDE Trajectory, the max entrywise
+    |integrated - closed form| state gap per grid time)."""
+    sde = simulate_sme(
+        model.rho0, h, model.sigma, model.hbar, closed.grid,
+        NoisePath(increments=np.diff(closed.w)), tols=tols, spec=model.spec,
+    )
+    exact = model.assemble(closed.grid.times(), closed.pi, closed.phi)
+    return sde, np.max(np.abs(sde.states - exact), axis=(1, 2))
 
 
 def recovered_brownian(
@@ -265,7 +272,7 @@ def state_decomposition(
     t: float,
     xi_t: float,
     tols: ToleranceSet = DEFAULT_TOLS,
-) -> DensityMatrix:
+) -> np.ndarray:
     """Assemble rho_t from conditioned pieces rather than the propagator:
 
         rho_t = sum_n pi_n(t) L_n
@@ -288,8 +295,7 @@ def default_horizon(spec: SpectralDecomposition, rho0, sigma: float) -> float:
     max(50 / (sigma * min gap)^2, 10 / (sigma^2 V_0))."""
     if spec.d < 2 or sigma <= 0:
         return 1.0
-    p = _level_probabilities(rho0, spec)
-    v0 = float(p @ spec.energies**2 - (p @ spec.energies) ** 2)
+    v0 = FilterModel(rho0, spec, sigma).v0
     horizon = 50.0 / (sigma * spec.min_gap) ** 2
     if v0 > 0:
         horizon = max(horizon, 10.0 / (sigma**2 * v0))
@@ -342,10 +348,13 @@ def closed_form_trajectory(model: "FilterModel", path: InformationPath) -> Filte
 class FilterModel:
     """Vectorized evaluation of the closed-form solution for one instance.
 
-    Precomputes the level data of (rho_0, spec, sigma, hbar) once so that
-    ensembles can evaluate pi, Phi, purity, and assembled states on whole
-    (path, time) blocks. Pair quantities use unordered pairs n < m; Phi is
-    symmetric under n <-> m and the phases are conjugate.
+    Precomputes the constants of (rho_0, spec, sigma, hbar) once (p_r and
+    level_cdf, H_0, V_0, the Lueders states and, per unordered pair n < m,
+    the gap E_n - E_m, decay_rate sigma^2 (E_n - E_m)^2 / 8 and R_nm(0)) so
+    that ensembles can evaluate pi, Phi, purity, and assembled states on
+    whole (path, time) blocks. Phi is symmetric under n <-> m and the phases
+    are conjugate. A state with no weight on any level raises
+    DegenerateDistribution.
     """
 
     def __init__(self, rho0, spec: SpectralDecomposition, sigma: float,
@@ -353,32 +362,36 @@ class FilterModel:
         self.spec = spec
         self.sigma = float(sigma)
         self.hbar = float(hbar)
-        self.rho0 = np.asarray(_mat(rho0), dtype=complex)
+        self.rho0 = np.asarray(rho0, dtype=complex)
         self.p = _level_probabilities(rho0, spec)
+        self.level_cdf = level_cdf(self.p)
         with np.errstate(divide="ignore"):
             self.log_p = np.log(self.p)
         self.energies = np.asarray(spec.energies, dtype=float)
-        d = spec.d
+        self.h0 = float(self.p @ self.energies)
+        self.v0 = float(self.p @ self.energies**2 - (self.p @ self.energies) ** 2)
 
-        self.luders = []
-        self.luders_purity = np.zeros(d)
-        for n in range(d):
-            if self.p[n] > tols.luders_floor:
-                state = luders_state(self.rho0, spec, n, tols)
-                self.luders.append(state.matrix)
-                self.luders_purity[n] = state.purity()
-            else:
-                self.luders.append(np.zeros_like(self.rho0))
-        self.luders_stack = np.stack(self.luders)
+        # a level below luders_floor keeps a zero Lueders state
+        self.luders_stack = np.zeros((spec.d,) + self.rho0.shape, dtype=complex)
+        self.luders_purity = np.zeros(spec.d)
+        for n in np.flatnonzero(self.p > tols.luders_floor):
+            state = self.luders_stack[n] = luders_state(self.rho0, spec, n, tols)
+            self.luders_purity[n] = np.vdot(state, state).real
 
         self.pairs = spec.pairs()
         self.pair_gap = np.array(
             [self.energies[n] - self.energies[m] for n, m in self.pairs], dtype=float
         )
+        self.decay_rate = 0.125 * self.sigma**2 * self.pair_gap**2
         self.r0 = np.stack(
             [offdiag_block(self.rho0, spec, n, m) for n, m in self.pairs]
         ) if self.pairs else np.zeros((0,) + self.rho0.shape, dtype=complex)
         self.r0_norm = np.array([frobenius_norm(b) for b in self.r0])
+
+    def draw_level(self, rng: np.random.Generator, cdf=None) -> int:
+        """Draw the signal level from level_cdf, or from cdf if given."""
+        cdf = self.level_cdf if cdf is None else cdf
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     def posterior(self, t, xi, out=None):
         """(pi, log normalizer). pi is a level-last view of a levels-first
@@ -428,8 +441,7 @@ class FilterModel:
     def mean_state(self, t) -> np.ndarray:
         """The exact ensemble mean state at t: pi averages to p and each
         Phi_nm to exp[-sigma^2 (E_n - E_m)^2 t / 8]."""
-        rate = -0.125 * self.sigma**2 * self.pair_gap**2
-        return self.assemble(t, self.p, np.exp(np.multiply.outer(t, rate)))
+        return self.assemble(t, self.p, np.exp(np.multiply.outer(t, -self.decay_rate)))
 
     def offdiag_norm(self, phi) -> np.ndarray:
         """|P_n rho_t P_m| per unordered pair."""

@@ -3,7 +3,8 @@
 Paths are simulated with the closed-form filtering solution, which is exact
 at every grid time, so the output grid spacing controls reporting
 resolution only, not accuracy. Each path has its own counter-based RNG
-stream derived from (base_seed, path index); paths are processed in
+stream derived from (base_seed, path index) by path_rng, which also seeds
+the one trajectory of `simulate` as path 0; paths are processed in
 fixed-size chunks whose partial sums are reduced in chunk order, so the
 summary is bitwise identical for a fixed seed regardless of how many
 worker threads are used (REDUCTION_LAB_THREADS caps the pool).
@@ -34,11 +35,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_grid_size
+from .config import (
+    _positive,
+    check_grid_size,
+    validate_check_times,
+    validate_checks,
+    validate_n_paths,
+    validate_sampler_bias,
+    validate_seed,
+)
 from .dynamics import TimeGrid, variance_bound
 from .errors import ReductionLabError, ValidationError
-from .filtering import FilterModel
-from .spectral import DEFAULT_TOLS, SpectralDecomposition, ToleranceSet, spectral_decompose
+from .filtering import FilterModel, level_cdf
+from .spectral import DEFAULT_TOLS, ToleranceSet, spectral_decompose
 
 CHUNK = 512          # fixed so that chunking never depends on thread count
 BLOCK = 1024         # time points per noise block: one generator call per path
@@ -72,20 +81,18 @@ class EnsembleConfig:
     tols: ToleranceSet = DEFAULT_TOLS
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValidationError("n_paths must be >= 1")
+        validate_seed(self.base_seed)
+        validate_n_paths(self.n_paths)
+        validate_checks(self.checks)
         if self.checks and self.n_paths < 100:
             raise ValidationError(
                 f"CI-based checks need n_paths >= 100, got {self.n_paths}"
             )
-        unknown = set(self.checks) - set(CHECK_NAMES)
-        if unknown:
-            raise ValidationError(f"unknown checks: {sorted(unknown)}")
-        if self.ci_multiplier <= 0:
-            raise ValidationError("ci_multiplier must be positive")
+        _positive(self.ci_multiplier, "ci_multiplier")
+        validate_check_times(self.check_times)
         check_grid_size(self.grid.t_max - self.grid.t0, self.grid.dt)
-        if self.sampler_bias is not None and not np.clip(self.sampler_bias, 0.0, None).sum() > 0:
-            raise ValidationError("sampler_bias: at least one weight must be > 0")
+        if self.sampler_bias is not None:
+            validate_sampler_bias(self.sampler_bias)
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,6 @@ class SeriesStats:
 @dataclass
 class EnsembleSummary:
     config: EnsembleConfig
-    spec: SpectralDecomposition
     model: FilterModel
     times: np.ndarray
     n_paths: int
@@ -121,15 +127,10 @@ class EnsembleSummary:
     v_step: SeriesStats               # paired increments V_{k+1} - V_k, (T-1,)
     born_counts: np.ndarray
     born_freqs: np.ndarray
-    born_expected: np.ndarray
     terminal: dict
     luders: dict                      # level -> conditional terminal stats
     mean_states: dict                 # time -> {mean, se_real, se_imag}
     checks: dict = field(default_factory=dict)
-
-    @property
-    def pairs(self):
-        return self.model.pairs
 
 
 def _se_from_sums(total, total_sq, n):
@@ -141,7 +142,9 @@ def _se_from_sums(total, total_sq, n):
     return np.sqrt(var / n)
 
 
-def _path_rng(base_seed: int, index: int) -> np.random.Generator:
+def path_rng(base_seed: int, index: int) -> np.random.Generator:
+    """The generator of path index: the ensemble's paths, and path 0 for a
+    single simulated trajectory."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     )
@@ -209,17 +212,13 @@ def _run_chunk(cfg: EnsembleConfig, model: FilterModel, times, check_idx, lo, hi
     d, n_pairs, dim = model.spec.d, len(model.pairs), model.spec.dim
     k = 3 + d + n_pairs
     sqrt_dt = np.sqrt(cfg.grid.dt)
-    if cfg.sampler_bias is not None:
-        draw_p = np.clip(np.asarray(cfg.sampler_bias, dtype=float), 0.0, None)
-    else:
-        draw_p = model.p
-    cumulative = np.cumsum(draw_p / draw_p.sum())
+    cdf = None if cfg.sampler_bias is None else level_cdf(cfg.sampler_bias)
 
     levels = np.empty(c, dtype=np.int64)
     rngs = []
     for j in range(c):
-        rng = _path_rng(cfg.base_seed, lo + j)
-        levels[j] = np.searchsorted(cumulative, rng.random(), side="right")
+        rng = path_rng(cfg.base_seed, lo + j)
+        levels[j] = model.draw_level(rng, cdf)
         rngs.append(rng)
     drift = cfg.drift_multiplier * cfg.sigma * model.energies[levels]
 
@@ -362,7 +361,6 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     stderr_defined = n > 1
     summary = EnsembleSummary(
         config=cfg,
-        spec=spec,
         model=model,
         times=times,
         n_paths=n,
@@ -375,7 +373,6 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
         v_step=_paired_step_stats(sums[1], squares[1], acc.sums[2 * k, 1:], n),
         born_counts=acc.born,
         born_freqs=acc.born / n,
-        born_expected=model.p,
         terminal=_terminal_stats(acc, n),
         luders=_luders_stats(acc, model, n),
         mean_states=_mean_state_stats(acc, times, check_idx, n),
@@ -472,7 +469,7 @@ def check_born(summary: EnsembleSummary) -> Verdict:
     ci * binomial standard error per level."""
     cfg = summary.config
     n = summary.n_paths
-    p = summary.born_expected
+    p = summary.model.p
     freq = summary.born_freqs
     binom_se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n)
     z = _z_exceedance(freq, binom_se, p)
@@ -504,8 +501,7 @@ def check_martingales(summary: EnsembleSummary) -> Verdict:
     cfg = summary.config
     ci = cfg.ci_multiplier
     model = summary.model
-    h0 = float(model.p @ model.energies)
-    z_h = _z_exceedance(summary.h_series.mean, summary.h_series.se, h0)
+    z_h = _z_exceedance(summary.h_series.mean, summary.h_series.se, model.h0)
     z_pi = _z_exceedance(summary.pi_series.mean, summary.pi_series.se, model.p)
 
     z_pi_nm = 0.0
@@ -514,8 +510,7 @@ def check_martingales(summary: EnsembleSummary) -> Verdict:
         window[0] = False          # se == 0 at t = 0 where Phi == 1 exactly
         if not np.any(window):
             continue
-        rate = 0.125 * cfg.sigma**2 * model.pair_gap[slot] ** 2
-        growth = np.exp(rate * summary.times[window])
+        growth = np.exp(model.decay_rate[slot] * summary.times[window])
         mean_pi_nm = summary.phi_series.mean[window, slot] * growth
         se_pi_nm = summary.phi_series.se[window, slot] * growth
         z_pi_nm = max(z_pi_nm, _z_exceedance(mean_pi_nm, se_pi_nm, 1.0))
@@ -552,12 +547,11 @@ def check_variance_decay(summary: EnsembleSummary) -> Verdict:
     cfg = summary.config
     ci = cfg.ci_multiplier
     model = summary.model
-    v0 = float(model.p @ model.energies**2 - (model.p @ model.energies) ** 2)
-    bound = variance_bound(v0, cfg.sigma, summary.times)
+    bound = variance_bound(model.v0, cfg.sigma, summary.times)
     margin = summary.v_series.mean - (bound + ci * np.where(np.isnan(summary.v_series.se), 0.0, summary.v_series.se))
     worst_margin = float(np.max(margin))
 
-    span = float(model.energies[-1] - model.energies[0]) if summary.spec.d > 1 else 0.0
+    span = float(model.energies[-1] - model.energies[0]) if model.spec.d > 1 else 0.0
     terminal_tol = 1e-6 * span**2
     terminal_v = float(summary.v_series.mean[-1])
 
@@ -576,7 +570,7 @@ def check_variance_decay(summary: EnsembleSummary) -> Verdict:
         statistic=max(worst_margin, z_state - ci, terminal_v - terminal_tol),
         threshold=0.0,
         details={
-            "v0": v0,
+            "v0": model.v0,
             "worst_bound_margin": worst_margin,
             "terminal_v_mean": terminal_v,
             "terminal_tolerance": terminal_tol,
@@ -590,7 +584,6 @@ def check_decoherence(summary: EnsembleSummary) -> Verdict:
     within 10% relative error per level pair. Pairs with a weightless level
     carry no coherence and are skipped; with level pairs but none to test
     (an eigenstate start) the check fails."""
-    cfg = summary.config
     model = summary.model
     slopes = {}
     worst = 0.0
@@ -601,7 +594,7 @@ def check_decoherence(summary: EnsembleSummary) -> Verdict:
             slopes[f"{n + 1}-{m + 1}"] = {"skipped": "p_n p_m = 0, so R_nm(0) = 0: no coherence"}
             skipped += 1
             continue
-        expected = -0.125 * cfg.sigma**2 * model.pair_gap[slot] ** 2
+        expected = -model.decay_rate[slot]
         window = _phi_window(summary, slot)
         if np.count_nonzero(window) < 5:
             ok = False

@@ -69,10 +69,10 @@ def summary_columns(summary: EnsembleSummary) -> dict:
         "purity_mean": summary.purity_series.mean,
         "purity_se": summary.purity_series.se,
     }
-    for r in range(summary.spec.d):
+    for r in range(summary.model.spec.d):
         columns[f"pi_{r + 1}_mean"] = summary.pi_series.mean[:, r]
         columns[f"pi_{r + 1}_se"] = summary.pi_series.se[:, r]
-    for slot, (n, m) in enumerate(summary.pairs):
+    for slot, (n, m) in enumerate(summary.model.pairs):
         label = f"Phi_{n + 1}{m + 1}"
         columns[f"{label}_mean"] = summary.phi_series.mean[:, slot]
         columns[f"{label}_se"] = summary.phi_series.se[:, slot]
@@ -119,13 +119,13 @@ def summary_report(summary: EnsembleSummary, config_echo: dict | None = None) ->
         "stderr_defined": summary.stderr_defined,
         "levels": {
             "energies": _sanitize(summary.model.energies),
-            "multiplicities": list(summary.spec.multiplicities),
+            "multiplicities": list(summary.model.spec.multiplicities),
             "probabilities": _sanitize(summary.model.p),
         },
         "born": {
             "counts": _sanitize(summary.born_counts),
             "frequencies": _sanitize(summary.born_freqs),
-            "expected": _sanitize(summary.born_expected),
+            "expected": _sanitize(summary.model.p),
         },
         "terminal": _sanitize(summary.terminal),
         "luders": _sanitize(

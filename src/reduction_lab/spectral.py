@@ -5,7 +5,8 @@ H = sum_r E_r P_r with distinct levels E_1 < ... < E_D and orthogonal
 projectors P_r, so this module owns validation, the spectral decomposition
 with degeneracy grouping, Lueders conditioning, and state moments.
 
-All types are immutable values and all operations are pure functions.
+A state is a frozen (N, N) complex ndarray; all other types are immutable
+values and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ class ToleranceSet:
 DEFAULT_TOLS = ToleranceSet()
 
 
-def _mat(obj) -> np.ndarray:
-    """Unwrap a DensityMatrix to the raw ndarray."""
-    return getattr(obj, "matrix", obj)
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -80,30 +76,16 @@ def require_square(a: np.ndarray) -> np.ndarray:
 def _symmetrized(m, tols: ToleranceSet) -> np.ndarray:
     """(A + A^dag) / 2 of a square finite matrix that is Hermitian within
     hermiticity_tol, so that downstream code sees exactly Hermitian data."""
-    a = require_square(_mat(m))
+    a = require_square(m)
     defect = hermiticity_defect(a)
     if defect > tols.hermiticity_tol:
         raise NotHermitian(defect, tols.hermiticity_tol)
     return hermitian_part(a)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Trace-one positive-semidefinite Hermitian matrix."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        """tr(rho^2); equals 1 exactly for pure states."""
-        return float(np.vdot(self.matrix, self.matrix).real)
-
-
-def validate_density(m, tols: ToleranceSet = DEFAULT_TOLS) -> DensityMatrix:
-    """Validate and normalize a candidate density matrix.
+def validate_density(m, tols: ToleranceSet = DEFAULT_TOLS) -> np.ndarray:
+    """Validate and normalize a candidate density matrix into a frozen
+    trace-one positive-semidefinite Hermitian array.
 
     Checks Hermiticity, trace one (renormalizing when the deviation is
     within trace_tol), and positive semidefiniteness down to -psd_tol.
@@ -117,7 +99,7 @@ def validate_density(m, tols: ToleranceSet = DEFAULT_TOLS) -> DensityMatrix:
     eigenvalues = np.linalg.eigvalsh(a)
     if eigenvalues[0] < -tols.psd_tol:
         raise NotPositive(float(eigenvalues[0]), tols.psd_tol)
-    return DensityMatrix(_freeze(a))
+    return _freeze(a)
 
 
 @dataclass(frozen=True)
@@ -157,9 +139,8 @@ class SpectralDecomposition:
 
     def level_probabilities(self, rho) -> np.ndarray:
         """p_r = tr(rho P_r) for each level."""
-        r = _mat(rho)
         return np.array(
-            [float(np.trace(p @ r).real) for p in self.projectors]
+            [float(np.trace(p @ rho).real) for p in self.projectors]
         )
 
     def reconstruct(self) -> np.ndarray:
@@ -169,13 +150,11 @@ class SpectralDecomposition:
         return out
 
 
-def spectral_decompose(
-    h, degeneracy_tol: float | None = None, tols: ToleranceSet = DEFAULT_TOLS
-) -> SpectralDecomposition:
+def spectral_decompose(h, tols: ToleranceSet = DEFAULT_TOLS) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator, merging near-degenerate levels.
 
     Eigenvalues are grouped by single linkage on the sorted spectrum:
-    a gap larger than degeneracy_tol starts a new level. Each merged level
+    a gap larger than tols.degeneracy_tol starts a new level. Each merged level
     takes the multiplicity-weighted mean of its members, and its projector
     is the sum of outer products of the corresponding orthonormal
     eigenvectors. The operator must be Hermitian within hermiticity_tol
@@ -187,8 +166,7 @@ def spectral_decompose(
     except np.linalg.LinAlgError as exc:
         raise EigenSolverFailure(str(exc)) from exc
 
-    if degeneracy_tol is None:
-        degeneracy_tol = tols.degeneracy_tol
+    degeneracy_tol = tols.degeneracy_tol
     if degeneracy_tol is None:
         degeneracy_tol = 1e-8 * max(1.0, float(np.max(np.abs(eigenvalues))))
 
@@ -221,13 +199,13 @@ def spectral_decompose(
 
 def luders_state(
     rho0, spec: SpectralDecomposition, r: int, tols: ToleranceSet = DEFAULT_TOLS
-) -> DensityMatrix:
+) -> np.ndarray:
     """Condition a state on level r: P_r rho P_r / tr(rho P_r).
 
     The result is an energy eigenstate of level r; it is pure only when the
     initial state restricted to that subspace is.
     """
-    rho = _mat(rho0)
+    rho = np.asarray(rho0)
     p = spec.projectors[r]
     if rho.shape != p.shape:
         raise DimensionMismatch(rho.shape, p.shape)
@@ -235,7 +213,7 @@ def luders_state(
     if weight <= tols.luders_floor:
         raise ZeroProbabilitySubspace(r, weight)
     out = p @ rho @ p / weight
-    return DensityMatrix(_freeze(hermitian_part(out)))
+    return _freeze(hermitian_part(out))
 
 
 @dataclass(frozen=True)
@@ -249,8 +227,7 @@ class StateMoments:
 
 def moments(rho, h) -> StateMoments:
     """tr(rho H), tr(rho H^2) - H^2, and tr(rho (H - H)^3)."""
-    r = _mat(rho)
-    a = _mat(h)
+    r, a = np.asarray(rho), np.asarray(h)
     if r.shape != a.shape:
         raise DimensionMismatch(r.shape, a.shape)
     mean = float(np.trace(r @ a).real)
@@ -268,7 +245,7 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 def offdiag_block(rho, spec: SpectralDecomposition, n: int, m: int) -> np.ndarray:
     """R_nm = P_n rho P_m."""
-    return spec.projectors[n] @ _mat(rho) @ spec.projectors[m]
+    return spec.projectors[n] @ rho @ spec.projectors[m]
 
 
 def offdiag_norms(rho, spec: SpectralDecomposition) -> dict:
@@ -276,7 +253,7 @@ def offdiag_norms(rho, spec: SpectralDecomposition) -> dict:
 
     Hermitian symmetry of rho gives |R_nm| = |R_mn|.
     """
-    r = _mat(rho)
+    r = np.asarray(rho)
     if r.shape != spec.projectors[0].shape:
         raise DimensionMismatch(r.shape, spec.projectors[0].shape)
     out = {}

@@ -148,6 +148,27 @@ class TestEnsemble:
         assert report["stderr_defined"] is False
         assert report["terminal"]["h_se"] is None
 
+    @pytest.mark.parametrize("instance", ["two_level", "three_level", "degenerate"])
+    @pytest.mark.parametrize("seed", [1, 7, 29])
+    def test_simulated_path_is_ensemble_path_zero(self, tmp_path, instance, seed):
+        # simulate draws its level and noise from the generator of ensemble
+        # path 0, so a one-path ensemble's means are its series, digit for digit
+        cfg = write_config(tmp_path, instance=instance, seed=seed, checks=[])
+        out = str(tmp_path)
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["ensemble", "--config", cfg, "--out", out, "--paths", "1"]) == 0
+
+        def columns(name):
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+        path, means = columns("trajectory.csv"), columns("summary.csv")
+        pairs = {"H_t": "H_mean", "V_t": "V_mean", "purity": "purity_mean"}
+        pairs.update({name: f"{name}_mean" for name in path if name.startswith("pi_")})
+        assert len(pairs) >= 5
+        for name, mean in pairs.items():
+            assert path[name] == means[mean], name
+
 
 class TestOverrideValidation:
     # command-line overrides pass the validators of the config fields

@@ -155,6 +155,27 @@ class TestRejection:
         with pytest.raises(ValidationError, match="sampler_bias"):
             parse_config('{"instance": "two_level", "sampler_bias": [0, 0]}')
 
+    @pytest.mark.parametrize("fragment, field", [
+        ('"sigma": NaN', "sigma"),
+        ('"ci_multiplier": NaN', "ci_multiplier"),
+        ('"hbar": Infinity', "hbar"),
+        ('"sigma": 1e999', "sigma"),
+        pytest.param('"hbar": 1%s' % ("0" * 400), "hbar", id="hbar-beyond-float-range"),
+        ('"grid": {"dt": Infinity, "t_max": 1}', "grid.dt"),
+        ('"grid": {"dt": "0.1"}', "grid.dt"),
+        ('"grid": {"t_max": true}', "grid.t_max"),
+        ('"seed": true', "seed"),
+        ('"n_paths": true', "n_paths"),
+        ('"drift_multiplier": true', "drift_multiplier"),
+        ('"check_times": [NaN]', "check_times"),
+        ('"sampler_bias": [Infinity, 1]', "sampler_bias"),
+        ('"tolerances": {"psd_tol": Infinity}', "tolerances.psd_tol"),
+    ])
+    def test_numbers_must_be_finite_reals(self, fragment, field):
+        # NaN, +-Infinity, booleans and numeric strings used to parse
+        with pytest.raises(ValidationError, match=field):
+            parse_config('{"instance": "two_level", %s}' % fragment)
+
     def test_unknown_instance(self):
         with pytest.raises(ValidationError, match="instance"):
             parse_config('{"instance": "ten_level"}')

@@ -48,25 +48,25 @@ class TestTimeGrid:
 class TestSmeStep:
     def test_eigenprojector_is_fixed_point(self):
         rho = np.diag([0.0, 1.0]).astype(complex)
-        out = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.04)
-        assert np.allclose(out.matrix, rho, atol=1e-14)
+        out, _ = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.04)
+        assert np.allclose(out, rho, atol=1e-14)
 
     def test_sigma_zero_is_unitary_euler(self):
         rho = coherent_qubit()
         dt = 1e-4
-        out = sme_step(rho, H2, sigma=0.0, hbar=1.0, dt=dt, dw=0.3)
+        out, _ = sme_step(rho, H2, sigma=0.0, hbar=1.0, dt=dt, dw=0.3)
         # noise and dissipator off; purity drift of the Euler rotation is O(dt^2)
         before = float(np.vdot(rho, rho).real)
-        after = float(np.vdot(out.matrix, out.matrix).real)
+        after = float(np.vdot(out, out).real)
         assert abs(after - before) < 10 * dt**2
 
     def test_two_level_scalar_recursion_oracle(self):
         # diagonal rho stays diagonal: p' = p - sigma p (1 - p) dW
         rho = np.eye(2, dtype=complex) / 2
-        out = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.02)
-        assert out.matrix[0, 0].real == pytest.approx(0.495, abs=1e-12)
-        assert out.matrix[1, 1].real == pytest.approx(0.505, abs=1e-12)
-        assert abs(out.matrix[0, 1]) < 1e-15
+        out, _ = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.02)
+        assert out[0, 0].real == pytest.approx(0.495, abs=1e-12)
+        assert out[1, 1].real == pytest.approx(0.505, abs=1e-12)
+        assert abs(out[0, 1]) < 1e-15
 
     def test_many_step_scalar_recursion_oracle(self):
         rng = np.random.default_rng(11)
@@ -76,14 +76,14 @@ class TestSmeStep:
         rho = np.eye(2, dtype=complex) / 2
         for dw in increments:
             p = p - p * (1 - p) * dw
-            rho = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=dt, dw=dw).matrix
+            rho, _ = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=dt, dw=dw)
         assert rho[0, 0].real == pytest.approx(p, abs=1e-12)
 
     def test_trace_exact_after_step(self):
         rng = np.random.default_rng(2)
         rho = coherent_qubit()
         for dw in rng.standard_normal(50) * np.sqrt(1e-3):
-            rho = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=dw).matrix
+            rho, _ = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=dw)
             assert abs(np.trace(rho).real - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
@@ -364,7 +364,7 @@ class TestLindblad:
         for k in (500, 1000, 2000):
             t = grid.times()[k]
             expected = 0.25 * np.exp(rate * t)
-            assert abs(path[k].matrix[1, 0] - expected) < 1e-9
+            assert abs(path[k][1, 0] - expected) < 1e-9
 
     def test_sigma_zero_matches_unitary_propagator(self):
         rng = np.random.default_rng(9)
@@ -372,25 +372,25 @@ class TestLindblad:
         h = (g + g.conj().T) / 2
         rho0 = np.eye(3, dtype=complex) / 3 + 0.1 * np.diag([1, 0, -1]).astype(complex)
         rho0 = rho0 + 0.05 * (np.eye(3, k=1) + np.eye(3, k=-1)).astype(complex)
-        rho0 = validate_density(rho0).matrix
+        rho0 = validate_density(rho0)
         spec = spectral_decompose(h)
         grid = TimeGrid.from_duration(1.0, 1e-3)
         path = integrate_lindblad(rho0, h, 0.0, 1.0, grid)
         u = unitary_propagator(spec, 1.0, 1.0)
         exact = u @ rho0 @ u.conj().T
-        assert np.max(np.abs(path[-1].matrix - exact)) < 1e-10
+        assert np.max(np.abs(path[-1] - exact)) < 1e-10
 
     def test_diagonal_initial_state_constant_path(self):
         rho0 = np.diag([0.25, 0.25, 0.5]).astype(complex)
         grid = TimeGrid.from_duration(1.0, 1e-2)
         path = integrate_lindblad(rho0, H3, 1.0, 1.0, grid)
-        assert np.max(np.abs(path[-1].matrix - rho0)) < 1e-13
+        assert np.max(np.abs(path[-1] - rho0)) < 1e-13
 
     def test_long_time_decoherence_keeps_diagonal(self):
         rho0 = coherent_qubit()
         grid = TimeGrid.from_duration(200.0, 1e-2)
         path = integrate_lindblad(rho0, H2, 1.0, 1.0, grid)
-        final = path[-1].matrix
+        final = path[-1]
         assert abs(final[0, 1]) < 1e-10
         assert final[0, 0].real == pytest.approx(0.5, abs=1e-10)
 
@@ -406,9 +406,8 @@ class TestLindblad:
         grid = TimeGrid.from_duration(2.0, 1e-3)
         path = integrate_lindblad(rho0, h, sigma, hbar, grid)
         model = FilterModel(rho0, spectral_decompose(h), sigma, hbar)
-        assert np.max(np.abs(path[-1].matrix - model.mean_state(2.0))) < 1e-10
-        rk4 = np.stack([s.matrix for s in path])
-        assert np.max(np.abs(rk4 - model.mean_state(grid.times()))) < 1e-10
+        assert np.max(np.abs(path[-1] - model.mean_state(2.0))) < 1e-10
+        assert np.max(np.abs(path - model.mean_state(grid.times()))) < 1e-10
 
 
 class TestIntegratorEnsemble:
@@ -444,7 +443,7 @@ class TestIntegratorEnsemble:
 
         lind = integrate_lindblad(rho0, H2, sigma, 1.0, grid)
         for k in (100, 200, 300):
-            target = lind[k].matrix
+            target = lind[k]
             mean_state = states[:, k].mean(axis=0)
             se_re = states[:, k].real.std(axis=0, ddof=1) / np.sqrt(n)
             se_im = states[:, k].imag.std(axis=0, ddof=1) / np.sqrt(n)

@@ -13,7 +13,7 @@ from reduction_lab import (
     make_information_path,
     moments,
     recovered_brownian,
-    sample_terminal_energy,
+    sample_noise,
     spectral_decompose,
     state_decomposition,
     type_d_decomposition,
@@ -42,28 +42,29 @@ class TestSampleTerminalEnergy:
     def test_eigenprojector_always_hits_its_level(self):
         rho0 = np.diag([0.0, 1.0, 0.0]).astype(complex)
         rng = np.random.default_rng(0)
-        assert all(sample_terminal_energy(rho0, SPEC3, rng) == 1 for _ in range(200))
+        model = FilterModel(rho0, SPEC3, 1.0)
+        assert all(model.draw_level(rng) == 1 for _ in range(200))
 
     def test_weightless_state_rejected(self):
         from reduction_lab.errors import DegenerateDistribution
 
         with pytest.raises(DegenerateDistribution):
-            sample_terminal_energy(np.zeros((3, 3), dtype=complex), SPEC3,
-                                   np.random.default_rng(0))
+            FilterModel(np.zeros((3, 3), dtype=complex), SPEC3, 1.0).draw_level(
+                np.random.default_rng(0))
 
     def test_symmetric_two_level_frequencies(self):
         rng = np.random.default_rng(1)
         n = 10_000
-        hits = sum(sample_terminal_energy(HALF, SPEC2, rng) for _ in range(n))
+        model = FilterModel(HALF, SPEC2, 1.0)
+        hits = sum(model.draw_level(rng) for _ in range(n))
         assert abs(hits / n - 0.5) <= 3 * np.sqrt(0.25 / n)
 
     def test_three_level_frequencies_match_traces(self):
         rng = np.random.default_rng(2)
         n = 10_000
         p = SPEC3.level_probabilities(RHO_B)      # (0.25, 0.25, 0.5) by trace
-        counts = np.bincount(
-            [sample_terminal_energy(RHO_B, SPEC3, rng) for _ in range(n)], minlength=3
-        )
+        model = FilterModel(RHO_B, SPEC3, 1.0)
+        counts = np.bincount([model.draw_level(rng) for _ in range(n)], minlength=3)
         for r in range(3):
             assert abs(counts[r] / n - p[r]) <= 3 * np.sqrt(p[r] * (1 - p[r]) / n)
 
@@ -71,7 +72,7 @@ class TestSampleTerminalEnergy:
 class TestInformationPath:
     def test_zero_noise_is_pure_drift(self):
         grid = TimeGrid.from_duration(1.0, 0.1)
-        path = make_information_path(1, SPEC2, sigma=2.0, grid=grid, rng=None)
+        path = make_information_path(1, SPEC2, sigma=2.0, grid=grid, noise=None)
         assert np.allclose(path.xi, 2.0 * grid.times())
         assert np.array_equal(path.xi, 2.0 * SPEC2.energies[1] * grid.times())
 
@@ -80,7 +81,7 @@ class TestInformationPath:
         rng = np.random.default_rng(3)
         increments = []
         for _ in range(400):
-            path = make_information_path(1, SPEC2, 1.0, grid, rng)
+            path = make_information_path(1, SPEC2, 1.0, grid, sample_noise(grid, rng))
             increments.append(np.diff(path.xi))
         increments = np.concatenate(increments)
         drift = 1.0 * SPEC2.energies[1] * grid.dt
@@ -90,8 +91,8 @@ class TestInformationPath:
 
     def test_fixed_seed_reproducible(self):
         grid = TimeGrid.from_duration(1.0, 0.1)
-        a = make_information_path(0, SPEC2, 1.0, grid, np.random.default_rng(7))
-        b = make_information_path(0, SPEC2, 1.0, grid, np.random.default_rng(7))
+        a = make_information_path(0, SPEC2, 1.0, grid, sample_noise(grid, np.random.default_rng(7)))
+        b = make_information_path(0, SPEC2, 1.0, grid, sample_noise(grid, np.random.default_rng(7)))
         assert np.array_equal(a.xi, b.xi)
 
 
@@ -148,14 +149,14 @@ class TestNormalizeLog:
 class TestClosedFormState:
     def test_time_zero_identity(self):
         out = closed_form_state(RHO_B, SPEC3, 1.0, 1.0, 0.0, 0.0)
-        assert np.max(np.abs(out.matrix - RHO_B)) < 1e-14
+        assert np.max(np.abs(out - RHO_B)) < 1e-14
 
     def test_energy_diagonal_initial_state_follows_weights(self):
         rho0 = np.diag([0.25, 0.25, 0.5]).astype(complex)
         out = closed_form_state(rho0, SPEC3, 1.0, 1.0, 0.7, 1.3)
         pi, _ = FilterModel(rho0, SPEC3, 1.0).posterior(0.7, 1.3)
-        assert np.allclose(np.diag(out.matrix).real, pi, atol=1e-12)
-        assert np.max(np.abs(out.matrix - np.diag(np.diag(out.matrix)))) < 1e-15
+        assert np.allclose(np.diag(out).real, pi, atol=1e-12)
+        assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-15
 
     def test_pure_state_stays_pure(self):
         psi = np.array([1.0, 1.0j, -1.0], dtype=complex) / np.sqrt(3)
@@ -165,7 +166,7 @@ class TestClosedFormState:
             t = float(rng.uniform(0, 30))
             xi = float(rng.normal(scale=10.0))
             out = closed_form_state(rho0, SPEC3, 1.0, 1.0, t, xi)
-            assert out.purity() == pytest.approx(1.0, abs=1e-10)
+            assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-10)
 
     def test_strong_convergence_toward_integrated_sde(self):
         # the integrator driven by the reconstructed increments closes in on
@@ -228,7 +229,7 @@ class TestEnergyEstimate:
 
     def test_long_drifting_observation_converges(self):
         grid = TimeGrid.from_duration(60.0, 0.1)
-        path = make_information_path(1, SPEC3, 1.0, grid, np.random.default_rng(8))
+        path = make_information_path(1, SPEC3, 1.0, grid, sample_noise(grid, np.random.default_rng(8)))
         est = energy_estimate(RHO_B, SPEC3, 1.0, grid.t_max, float(path.xi[-1]))
         assert est == pytest.approx(SPEC3.energies[1], abs=1e-6)
 
@@ -236,7 +237,7 @@ class TestEnergyEstimate:
 class TestRecoveredBrownian:
     def test_sigma_zero_returns_observation(self):
         grid = TimeGrid.from_duration(1.0, 0.01)
-        path = make_information_path(0, SPEC2, 0.0, grid, np.random.default_rng(9))
+        path = make_information_path(0, SPEC2, 0.0, grid, sample_noise(grid, np.random.default_rng(9)))
         w = recovered_brownian(path, HALF, SPEC2, 0.0)
         assert np.array_equal(w, path.xi)
 
@@ -245,11 +246,12 @@ class TestRecoveredBrownian:
         t_max, dt, n = 4.0, 0.05, 3000
         grid = TimeGrid.from_duration(t_max, dt)
         rng = np.random.default_rng(10)
+        model = FilterModel(HALF, SPEC2, 1.0)
         terminals = np.empty(n)
         lag_products = []
         for i in range(n):
-            level = sample_terminal_energy(HALF, SPEC2, rng)
-            path = make_information_path(level, SPEC2, 1.0, grid, rng)
+            level = model.draw_level(rng)
+            path = make_information_path(level, SPEC2, 1.0, grid, sample_noise(grid, rng))
             w = recovered_brownian(path, HALF, SPEC2, 1.0)
             terminals[i] = w[-1]
             dw = np.diff(w)
@@ -262,7 +264,7 @@ class TestRecoveredBrownian:
 
     def test_starts_at_zero(self):
         grid = TimeGrid.from_duration(1.0, 0.1)
-        path = make_information_path(1, SPEC2, 1.0, grid, np.random.default_rng(11))
+        path = make_information_path(1, SPEC2, 1.0, grid, sample_noise(grid, np.random.default_rng(11)))
         assert recovered_brownian(path, HALF, SPEC2, 1.0)[0] == 0.0
 
 
@@ -353,7 +355,7 @@ class TestTypeDDecomposition:
 
     def test_accumulated_mass_is_nondecreasing(self):
         grid = TimeGrid.from_duration(20.0, 0.05)
-        path = make_information_path(0, SPEC2, 1.0, grid, np.random.default_rng(14))
+        path = make_information_path(0, SPEC2, 1.0, grid, sample_noise(grid, np.random.default_rng(14)))
         traj = closed_form_trajectory(FilterModel(HALF, SPEC2, 1.0, 1.0), path)
         out = type_d_decomposition(0, 1, SPEC2, 1.0, grid, traj.phi[:, 0])
         assert np.all(np.diff(out.a) >= 0)
@@ -368,8 +370,8 @@ class TestTypeDDecomposition:
         totals = np.empty(n)
         times = grid.times()
         for i in range(n):
-            level = sample_terminal_energy(HALF, SPEC2, rng)
-            path = make_information_path(level, SPEC2, 1.0, grid, rng)
+            level = model.draw_level(rng)
+            path = make_information_path(level, SPEC2, 1.0, grid, sample_noise(grid, rng))
             pi, log_z = model.posterior(times, path.xi)
             phi = model.phi(times, path.xi, pi)[:, 0]
             out = type_d_decomposition(0, 1, SPEC2, 1.0, grid, phi)
@@ -386,7 +388,7 @@ class TestTypeDDecomposition:
 class TestStateDecomposition:
     def test_time_zero_recombines_initial_state(self):
         out = state_decomposition(RHO_B, SPEC3, 1.0, 1.0, 0.0, 0.0)
-        assert np.max(np.abs(out.matrix - RHO_B)) < 1e-14
+        assert np.max(np.abs(out - RHO_B)) < 1e-14
 
     def test_long_horizon_lands_on_luders_state(self):
         from reduction_lab.instances import degenerate
@@ -394,11 +396,11 @@ class TestStateDecomposition:
         grid = TimeGrid.from_duration(150.0, 0.5)
         h, rho0 = degenerate()
         spec = spectral_decompose(h)
-        path = make_information_path(0, spec, 1.0, grid, np.random.default_rng(16))
+        path = make_information_path(0, spec, 1.0, grid, sample_noise(grid, np.random.default_rng(16)))
         out = state_decomposition(rho0, spec, 1.0, 1.0, grid.t_max, float(path.xi[-1]))
         target = luders_state(rho0, spec, 0)
-        assert np.max(np.abs(out.matrix - target.matrix)) < 1e-6
-        assert out.purity() == pytest.approx(0.5, abs=1e-9)
+        assert np.max(np.abs(out - target)) < 1e-6
+        assert np.vdot(out, out).real == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_propagator_route(self, seed):
@@ -408,7 +410,7 @@ class TestStateDecomposition:
         h, rho0, spec, sigma, hbar, t, xi = random_instance(rng)
         direct = closed_form_state(rho0, spec, sigma, hbar, t, xi)
         assembled = state_decomposition(rho0, spec, sigma, hbar, t, xi)
-        assert np.max(np.abs(direct.matrix - assembled.matrix)) < 1e-12
+        assert np.max(np.abs(direct - assembled)) < 1e-12
 
 
 class TestCollapseStatistics:
@@ -461,14 +463,14 @@ class TestClosedFormTrajectory:
     def test_columns_consistent_with_pointwise_ops(self):
         grid = TimeGrid.from_duration(2.0, 0.1)
         model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
-        path = make_information_path(2, SPEC3, 1.0, grid, np.random.default_rng(20))
+        path = make_information_path(2, SPEC3, 1.0, grid, sample_noise(grid, np.random.default_rng(20)))
         traj = closed_form_trajectory(model, path)
         k = 7
         t, xi = grid.times()[k], float(path.xi[k])
         pi, _ = model.posterior(t, xi)
         assert np.allclose(traj.pi[k], pi, atol=1e-12)
         state = closed_form_state(RHO_B, SPEC3, 1.0, 1.0, t, xi)
-        assert traj.purity[k] == pytest.approx(state.purity(), abs=1e-10)
+        assert traj.purity[k] == pytest.approx(np.vdot(state, state).real, abs=1e-10)
         assert traj.H[k] == pytest.approx(moments(state, H3).H, abs=1e-10)
         assert traj.V[k] == pytest.approx(moments(state, H3).V, abs=1e-10)
         w = recovered_brownian(path, RHO_B, SPEC3, 1.0)
@@ -479,7 +481,7 @@ class TestClosedFormTrajectory:
     def test_states_assembled_from_columns_are_valid(self):
         grid = TimeGrid.from_duration(5.0, 0.05)
         model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
-        path = make_information_path(0, SPEC3, 1.0, grid, np.random.default_rng(21))
+        path = make_information_path(0, SPEC3, 1.0, grid, sample_noise(grid, np.random.default_rng(21)))
         traj = closed_form_trajectory(model, path)
         times = grid.times()
         states = model.assemble(times, traj.pi, traj.phi)

@@ -55,6 +55,19 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="sampler_bias"):
             small_config(checks=("born",), sampler_bias=(0.0, 0.0))
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("base_seed", -1, "seed"),
+        ("base_seed", True, "seed"),
+        ("n_paths", True, "n_paths"),
+        ("ci_multiplier", float("nan"), "ci_multiplier"),
+        ("check_times", (float("nan"),), "check_times"),
+        ("sampler_bias", (-1.0, 2.0), "sampler_bias"),
+    ])
+    def test_library_inputs_pass_the_config_validators(self, field, value, named):
+        # a seed of -1 used to die inside numpy, and NaN values were accepted
+        with pytest.raises(ValidationError, match=named):
+            small_config(checks=(), **{field: value})
+
 
 class TestSummaryShape:
     def test_single_path_summary_flags_undefined_stderr(self):

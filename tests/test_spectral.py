@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reduction_lab import (
+    DEFAULT_TOLS,
     luders_state,
     moments,
     offdiag_norms,
@@ -31,11 +32,11 @@ def random_density(rng, n):
 class TestValidateDensity:
     def test_maximally_mixed(self):
         rho = validate_density(np.eye(2, dtype=complex) / 2)
-        assert np.allclose(np.linalg.eigvalsh(rho.matrix), [0.5, 0.5])
+        assert np.allclose(np.linalg.eigvalsh(rho), [0.5, 0.5])
 
     def test_trace_renormalized_within_tolerance(self):
         rho = validate_density(np.diag([0.6, 0.4 + 1e-12]).astype(complex))
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPositive) as info:
@@ -60,14 +61,14 @@ class TestValidateDensity:
 class TestSpectralDecompose:
     def test_exact_degeneracy_grouped(self):
         spec = spectral_decompose(np.diag([1.0, 1.0, 3.0]).astype(complex),
-                                  degeneracy_tol=1e-9)
+                                  tols=DEFAULT_TOLS.override(degeneracy_tol=1e-9))
         assert spec.d == 2
         assert spec.multiplicities == (2, 1)
         assert np.allclose(spec.energies, [1.0, 3.0])
 
     def test_near_degeneracy_merged_to_weighted_mean(self):
         spec = spectral_decompose(np.diag([0.0, 1e-12, 1.0]).astype(complex),
-                                  degeneracy_tol=1e-9)
+                                  tols=DEFAULT_TOLS.override(degeneracy_tol=1e-9))
         assert spec.d == 2
         assert spec.energies[0] == pytest.approx(0.5e-12, abs=1e-15)
 
@@ -116,7 +117,7 @@ class TestLudersState:
         spec = spectral_decompose(h)
         rho0 = spec.projectors[0] / 2.0
         out = luders_state(rho0, spec, 0)
-        assert np.allclose(out.matrix, rho0, atol=1e-14)
+        assert np.allclose(out, rho0, atol=1e-14)
 
     def test_nondegenerate_level_gives_rank_one_projector(self):
         rng = np.random.default_rng(5)
@@ -124,13 +125,13 @@ class TestLudersState:
         spec = spectral_decompose(h)
         rho0 = random_density(rng, 4)
         out = luders_state(rho0, spec, 2)
-        assert np.allclose(out.matrix, spec.projectors[2], atol=1e-10)
+        assert np.allclose(out, spec.projectors[2], atol=1e-10)
 
     def test_fully_degenerate_hamiltonian_returns_state(self):
         spec = spectral_decompose(np.zeros((2, 2), dtype=complex))
         assert spec.d == 1
         out = luders_state(np.eye(2, dtype=complex) / 2, spec, 0)
-        assert np.allclose(out.matrix, np.eye(2) / 2)
+        assert np.allclose(out, np.eye(2) / 2)
 
     def test_zero_probability_subspace_rejected(self):
         h = np.diag([0.0, 1.0]).astype(complex)
@@ -149,8 +150,8 @@ class TestLudersState:
         rho0 = random_density(rng, n)
         for r in range(spec.d):
             out = luders_state(rho0, spec, r)
-            validate_density(out.matrix)
-            assert np.max(np.abs(h @ out.matrix - spec.energies[r] * out.matrix)) \
+            validate_density(out)
+            assert np.max(np.abs(h @ out - spec.energies[r] * out)) \
                 <= 1e-9 * max(1.0, abs(spec.energies[r]))
 
 
