@@ -26,7 +26,6 @@ from .filtering import (
     recovered_brownian,
     sde_gap,
     state_decomposition,
-    type_d_decomposition,
 )
 from .harness import EnsembleConfig, EnsembleSummary, Verdict, run_ensemble
 from .spectral import (

@@ -38,7 +38,7 @@ from .filtering import (
 )
 from .harness import EnsembleConfig, run_ensemble
 from .instances import degenerate, three_level, two_level
-from .spectral import moments, spectral_decompose
+from .spectral import spectral_decompose
 
 # Reference seeds. Every criterion is deterministic given these; the
 # oracle-equivalence seed is chosen so that the measured one-path
@@ -124,11 +124,11 @@ def ensemble_c() -> "EnsembleSummary":
 # criterion 1: closed form vs SDE integrator on one shared path
 
 
-def _sde_vs_closed_form(model, h, level, grid, noise):
+def _sde_vs_closed_form(model, level, grid, noise):
     """Entrywise gap between the integrated SDE (driven by the reconstructed
     Brownian increments) and the exact states: (max over grid, RMS over grid)."""
     path = make_information_path(level, model.spec, model.sigma, grid, noise)
-    _, per_time = sde_gap(model, closed_form_trajectory(model, path), h)
+    _, per_time = sde_gap(model, closed_form_trajectory(model, path))
     return float(per_time.max()), float(np.sqrt(np.mean(per_time**2)))
 
 
@@ -146,9 +146,9 @@ def criterion_oracle_equivalence() -> CriterionResult:
     coarse = NoisePath(increments=dw_fine.increments.reshape(-1, 2).sum(axis=1))
 
     err_coarse, rms_coarse = _sde_vs_closed_form(
-        model, h, level, TimeGrid.from_duration(t_max, dt), coarse
+        model, level, TimeGrid.from_duration(t_max, dt), coarse
     )
-    err_fine, rms_fine = _sde_vs_closed_form(model, h, level, fine, dw_fine)
+    err_fine, rms_fine = _sde_vs_closed_form(model, level, fine, dw_fine)
     ratio = err_fine / err_coarse
     passed = err_coarse < 5e-3 and 0.35 <= ratio <= 0.75
     result = _result(
@@ -188,18 +188,17 @@ def criterion_born(summary) -> CriterionResult:
 
 def criterion_terminal_moments(summary) -> CriterionResult:
     started = time.perf_counter()
-    h, rho0 = three_level()
-    m = moments(rho0, h)
+    model = summary.model
     term = summary.terminal
-    z_mean = abs(term["h_mean"] - m.H) / term["h_se"]
-    z_var = abs(term["h_var"] - m.V) / term["h_var_se"]
+    z_mean = abs(term["h_mean"] - model.h0) / term["h_se"]
+    z_var = abs(term["h_var"] - model.v0) / term["h_var_se"]
     ci = summary.config.ci_multiplier
     return _result(
         3,
         "terminal energy is an unbiased draw: mean tr(rho_0 H), variance V_0",
         z_mean <= ci and z_var <= ci,
         f"mean {term['h_mean']:.4f} (z={z_mean:.2f}), var {term['h_var']:.4f} (z={z_var:.2f})",
-        f"targets {m.H}, {m.V}; |z| <= {ci}",
+        f"targets {model.h0}, {model.v0}; |z| <= {ci}",
         started,
         z_mean=z_mean,
         z_var=z_var,

@@ -87,8 +87,7 @@ def cmd_simulate(args) -> int:
 
     if cfg.mode == "sde":
         traj = sde = simulate_sme(
-            rho0, cfg.hamiltonian, cfg.sigma, cfg.hbar, grid, sample_noise(grid, rng),
-            tols=cfg.tolerances, spec=spec,
+            rho0, spec, cfg.sigma, cfg.hbar, grid, sample_noise(grid, rng), cfg.tolerances
         )
     else:
         model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
@@ -96,7 +95,7 @@ def cmd_simulate(args) -> int:
         path = make_information_path(level, spec, cfg.sigma, grid, sample_noise(grid, rng))
         traj = closed_form_trajectory(model, path)
         if cfg.mode == "both":
-            sde, gap = sde_gap(model, traj, cfg.hamiltonian, cfg.tolerances)
+            sde, gap = sde_gap(model, traj, cfg.tolerances)
             print(f"max |integrated - closed form| over the grid: {gap.max():.3e}")
     if cfg.mode != "closed-form":
         print(f"sde repairs: {sde.repairs} of {grid.n_steps} steps", file=sys.stderr)

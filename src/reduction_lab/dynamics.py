@@ -37,29 +37,26 @@ from .spectral import (
     ToleranceSet,
     _freeze,
     hermitian_part,
-    spectral_decompose,
     validate_density,
 )
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = t0 + k dt, k = 0..n_steps."""
+    """Uniform grid t_k = k dt, k = 0..n_steps."""
 
     t_max: float
     dt: float
     n_steps: int
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        span = self.t_max - self.t0
         tol = 32.0 * np.spacing(max(abs(self.t_max), abs(self.dt), 1.0))
-        if abs(self.n_steps * self.dt - span) > tol * max(1, self.n_steps):
+        if abs(self.n_steps * self.dt - self.t_max) > tol * max(1, self.n_steps):
             raise ValueError(
                 f"n_steps * dt = {self.n_steps * self.dt} does not match "
-                f"t_max - t0 = {span}"
+                f"t_max = {self.t_max}"
             )
 
     @classmethod
@@ -71,7 +68,7 @@ class TimeGrid:
         return cls(t_max=n * dt, dt=dt, n_steps=n)
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+        return self.dt * np.arange(self.n_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -92,14 +89,14 @@ def sample_noise(grid: TimeGrid, rng: np.random.Generator) -> NoisePath:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Column record of one integrated realization on a time grid, with the
-    field names of the closed-form FilterTrajectory.
+    """Column record of one realization on a time grid, integrated by
+    simulate_sme or evaluated in closed form by closed_form_trajectory.
 
     pi has shape (n_points, D) and offdiag one column of |P_n rho P_m| per
-    level pair n < m, in spec.pairs() order. xi is reconstructed from the
-    driving noise via dxi = sigma H_t dt + dW, so xi[0] = w[0] = 0 and the
-    pair (xi, w) is consistent with the information-process picture of the
-    same dynamics.
+    level pair n < m, in spec.pairs() order. xi and the driving Brownian
+    motion w satisfy dxi = sigma H_t dt + dW with xi[0] = w[0] = 0. The SDE
+    keeps its (n_points, N, N) stack of states and its repair count; the
+    closed form assembles states on demand, so its record holds none.
     """
 
     grid: TimeGrid
@@ -108,11 +105,10 @@ class Trajectory:
     pi: np.ndarray
     H: np.ndarray
     V: np.ndarray
-    beta: np.ndarray
     purity: np.ndarray
     offdiag: np.ndarray
-    states: np.ndarray            # (n_points, N, N), frozen
-    repairs: int                  # steps whose state the PSD clamp repaired
+    states: np.ndarray | None = None    # (n_points, N, N), frozen
+    repairs: int = 0                    # steps whose state the PSD clamp repaired
 
 
 def _eigenbasis(rho, h):
@@ -201,22 +197,19 @@ def sme_step(
 
 def simulate_sme(
     rho0,
-    h,
+    spec: SpectralDecomposition,
     sigma: float,
     hbar: float,
     grid: TimeGrid,
     noise: NoisePath,
     tols: ToleranceSet = DEFAULT_TOLS,
-    spec: SpectralDecomposition | None = None,
 ) -> Trajectory:
-    """Iterate sme_step along the grid in the eigenbasis of H (spec, when
-    given, is H's decomposition), then derive the records from the whole
-    stack of states. The run is bitwise reproducible for a fixed noise path.
+    """Iterate sme_step along the grid in the eigenbasis of H, given as its
+    spectral decomposition, then derive the records from the whole stack of
+    states. The run is bitwise reproducible for a fixed noise path.
     """
     if len(noise.increments) != grid.n_steps:
         raise DimensionMismatch(len(noise.increments), grid.n_steps)
-    if spec is None:
-        spec = spectral_decompose(h, tols=tols)
 
     e, basis = spec.eigenvalues, spec.basis
     rho = validate_density(rho0, tols)
@@ -259,7 +252,6 @@ def simulate_sme(
         pi=_freeze(np.stack([p[:, level].sum(axis=1) for level in levels], axis=1)),
         H=_freeze(h_series),
         V=_freeze(np.sum(p * centered**2, axis=1)),
-        beta=_freeze(np.sum(p * centered**3, axis=1)),
         purity=_freeze(abs2.sum(axis=(1, 2))),
         offdiag=_freeze(offdiag),
         states=_freeze(hermitian_part(basis @ stack @ basis.conj().T)),
@@ -337,8 +329,3 @@ def variance_bound(v0: float, sigma: float, t) -> np.ndarray | float:
     if v0 < 0:
         raise ValueError(f"initial variance must be nonnegative, got {v0}")
     return v0 / (1.0 + v0 * sigma**2 * np.asarray(t))
-
-
-def unitary_propagator(spec: SpectralDecomposition, t: float, hbar: float) -> np.ndarray:
-    """exp(-i H t / hbar) assembled from the eigensystem."""
-    return (spec.basis * np.exp(-1j * spec.eigenvalues * t / hbar)) @ spec.basis.conj().T

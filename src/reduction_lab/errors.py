@@ -71,10 +71,6 @@ class NonFiniteInput(ReductionLabError):
     pass
 
 
-class SameLevel(ReductionLabError):
-    pass
-
-
 class ParseError(ReductionLabError):
     """Config text could not be parsed; message carries position/field."""
 

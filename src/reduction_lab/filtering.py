@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NoisePath, TimeGrid, simulate_sme
-from .errors import DegenerateDistribution, NonFiniteInput, SameLevel
+from .dynamics import NoisePath, TimeGrid, Trajectory, simulate_sme
+from .errors import DegenerateDistribution, NonFiniteInput
 from .spectral import (
     DEFAULT_TOLS,
     SpectralDecomposition,
@@ -55,10 +55,9 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class InformationPath:
-    """A sampled signal level plus one realization of xi_t = sigma t H + B_t."""
+    """One realization of xi_t = sigma t H + B_t on a grid."""
 
     grid: TimeGrid
-    level: int
     xi: np.ndarray
 
 
@@ -172,7 +171,7 @@ def make_information_path(
     if noise is not None:
         b[1:] = np.cumsum(noise.increments)
     xi = sigma * float(spec.energies[level]) * times + b
-    return InformationPath(grid=grid, level=level, xi=_freeze(xi))
+    return InformationPath(grid=grid, xi=_freeze(xi))
 
 
 def closed_form_state(
@@ -214,16 +213,17 @@ def closed_form_state(
     return validate_density(unnormalized / trace, tols)
 
 
-def sde_gap(model: "FilterModel", closed: "FilterTrajectory", h,
+def sde_gap(model: "FilterModel", closed: Trajectory,
             tols: ToleranceSet = DEFAULT_TOLS) -> tuple:
     """Drive the SDE integrator with the Brownian increments recovered from
     a closed-form trajectory: (the SDE Trajectory, the max entrywise
     |integrated - closed form| state gap per grid time)."""
     sde = simulate_sme(
-        model.rho0, h, model.sigma, model.hbar, closed.grid,
-        NoisePath(increments=np.diff(closed.w)), tols=tols, spec=model.spec,
+        model.rho0, model.spec, model.sigma, model.hbar, closed.grid,
+        NoisePath(increments=np.diff(closed.w)), tols,
     )
-    exact = model.assemble(closed.grid.times(), closed.pi, closed.phi)
+    times = closed.grid.times()
+    exact = model.assemble(times, closed.pi, model.phi(times, closed.xi, closed.pi))
     return sde, np.max(np.abs(sde.states - exact), axis=(1, 2))
 
 
@@ -233,35 +233,6 @@ def recovered_brownian(
     """Reconstruct the driving Brownian motion W_t = xi_t - sigma int_0^t H_s ds,
     with left Riemann sums (the Ito, non-anticipating reading)."""
     return closed_form_trajectory(FilterModel(rho0, spec, sigma), path).w
-
-
-@dataclass(frozen=True)
-class TypeDDecomposition:
-    """Increasing part A of the potential Phi and the implied estimates of
-    its total mass: Phi_t + A_t estimates E_t[A_inf] (constant-mean check)."""
-
-    a: np.ndarray
-    total_mass_estimate: np.ndarray
-
-
-def type_d_decomposition(
-    n: int,
-    m: int,
-    spec: SpectralDecomposition,
-    sigma: float,
-    grid: TimeGrid,
-    phi_path: np.ndarray,
-) -> TypeDDecomposition:
-    """Accumulate A_t = sigma^2 (E_n - E_m)^2 / 8 * int_0^t Phi ds (trapezoid)."""
-    if n == m:
-        raise SameLevel(f"off-diagonal block needs distinct levels, got {n}")
-    phi_path = np.asarray(phi_path, dtype=float)
-    rate = 0.125 * sigma**2 * (spec.energies[n] - spec.energies[m]) ** 2
-    a = np.zeros_like(phi_path)
-    if len(phi_path) > 1:
-        increments = 0.5 * (phi_path[1:] + phi_path[:-1]) * grid.dt
-        a[1:] = rate * np.cumsum(increments)
-    return TypeDDecomposition(a=_freeze(a), total_mass_estimate=_freeze(phi_path + a))
 
 
 def state_decomposition(
@@ -302,27 +273,7 @@ def default_horizon(spec: SpectralDecomposition, rho0, sigma: float) -> float:
     return horizon
 
 
-@dataclass(frozen=True)
-class FilterTrajectory:
-    """Column view of one closed-form trajectory on a grid.
-
-    pi has shape (n_points, D); phi and offdiag have one column per
-    unordered level pair n < m, in spec.pairs() order.
-    """
-
-    grid: TimeGrid
-    level: int
-    xi: np.ndarray
-    w: np.ndarray
-    pi: np.ndarray
-    H: np.ndarray
-    V: np.ndarray
-    purity: np.ndarray
-    phi: np.ndarray
-    offdiag: np.ndarray
-
-
-def closed_form_trajectory(model: "FilterModel", path: InformationPath) -> FilterTrajectory:
+def closed_form_trajectory(model: "FilterModel", path: InformationPath) -> Trajectory:
     """Evaluate the exact solution along one information path."""
     times = path.grid.times()
     pi, _ = model.posterior(times, path.xi)
@@ -331,16 +282,14 @@ def closed_form_trajectory(model: "FilterModel", path: InformationPath) -> Filte
     w = np.empty_like(path.xi)
     w[0] = 0.0
     w[1:] = path.xi[1:] - model.sigma * path.grid.dt * np.cumsum(h_path[:-1])
-    return FilterTrajectory(
+    return Trajectory(
         grid=path.grid,
-        level=path.level,
         xi=path.xi,
         w=_freeze(w),
         pi=_freeze(pi),
         H=_freeze(h_path),
         V=_freeze(model.variance(pi)),
         purity=_freeze(model.purity(pi, phi)),
-        phi=_freeze(phi),
         offdiag=_freeze(model.offdiag_norm(phi)),
     )
 

@@ -26,8 +26,7 @@ def _pair_label(n: int, m: int) -> str:
 
 
 def trajectory_columns(traj, spec: SpectralDecomposition) -> dict:
-    """Column view of an SDE or a closed-form trajectory, which share the
-    field names read here.
+    """Column view of a Trajectory, integrated or closed form.
 
     Columns: t, H_t, V_t, purity, xi, W, pi_1..pi_D, |R_nm| for n < m.
     """

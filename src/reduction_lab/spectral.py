@@ -143,12 +143,6 @@ class SpectralDecomposition:
             [float(np.trace(p @ rho).real) for p in self.projectors]
         )
 
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for e, p in zip(self.energies, self.projectors):
-            out += e * p
-        return out
-
 
 def spectral_decompose(h, tols: ToleranceSet = DEFAULT_TOLS) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator, merging near-degenerate levels.

@@ -16,7 +16,6 @@ from reduction_lab import (
     variance_bound,
 )
 from reduction_lab.acceptance import random_instance
-from reduction_lab.dynamics import unitary_propagator
 from reduction_lab.errors import DimensionMismatch, StepDivergence
 from reduction_lab.instances import INSTANCES, three_level
 from reduction_lab.spectral import DEFAULT_TOLS, moments, offdiag_norms, spectral_decompose
@@ -116,7 +115,7 @@ class TestSimulateSme:
     def test_closed_system_conserves_moments(self):
         grid = TimeGrid.from_duration(1.0, 1e-3)
         noise = NoisePath(increments=np.zeros(grid.n_steps))
-        traj = simulate_sme(coherent_qubit(), H2, sigma=0.0, hbar=1.0,
+        traj = simulate_sme(coherent_qubit(), spectral_decompose(H2), sigma=0.0, hbar=1.0,
                             grid=grid, noise=noise)
         assert np.max(np.abs(traj.H - traj.H[0])) < 10 * grid.dt
         assert np.max(np.abs(traj.V - traj.V[0])) < 10 * grid.dt
@@ -125,7 +124,7 @@ class TestSimulateSme:
     def test_energy_stays_in_spectrum_range(self):
         rng = np.random.default_rng(4)
         grid = TimeGrid.from_duration(2.0, 1e-3)
-        traj = simulate_sme(coherent_qubit(), H2, sigma=1.0, hbar=1.0,
+        traj = simulate_sme(coherent_qubit(), spectral_decompose(H2), sigma=1.0, hbar=1.0,
                             grid=grid, noise=sample_noise(grid, rng))
         assert np.all(traj.H >= -1e-12)
         assert np.all(traj.H <= 1.0 + 1e-12)
@@ -135,7 +134,7 @@ class TestSimulateSme:
         runs = []
         for _ in range(2):
             noise = sample_noise(grid, np.random.default_rng(123))
-            runs.append(simulate_sme(coherent_qubit(), H2, 1.0, 1.0, grid, noise))
+            runs.append(simulate_sme(coherent_qubit(), spectral_decompose(H2), 1.0, 1.0, grid, noise))
         a, b = runs
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.xi, b.xi)
@@ -144,7 +143,7 @@ class TestSimulateSme:
     def test_states_stay_valid_and_records_line_up(self):
         rng = np.random.default_rng(8)
         grid = TimeGrid.from_duration(1.0, 1e-3)
-        traj = simulate_sme(coherent_qubit(), H2, 1.0, 1.0, grid,
+        traj = simulate_sme(coherent_qubit(), spectral_decompose(H2), 1.0, 1.0, grid,
                             sample_noise(grid, rng))
         assert len(traj.states) == grid.n_steps + 1
         assert traj.w[0] == 0.0 and traj.xi[0] == 0.0
@@ -158,7 +157,7 @@ class TestSimulateSme:
         rng = np.random.default_rng(21)
         sigma = 3.0
         grid = TimeGrid.from_duration(14.0, 1e-3)
-        traj = simulate_sme(coherent_qubit(), H2, sigma, 1.0, grid,
+        traj = simulate_sme(coherent_qubit(), spectral_decompose(H2), sigma, 1.0, grid,
                             sample_noise(grid, rng))
         span = 1.0
         eig_eps = 1e-18 * span**2
@@ -179,7 +178,7 @@ class TestSimulateSme:
     def test_noise_grid_mismatch_rejected(self):
         grid = TimeGrid.from_duration(1.0, 1e-2)
         with pytest.raises(DimensionMismatch):
-            simulate_sme(coherent_qubit(), H2, 1.0, 1.0, grid,
+            simulate_sme(coherent_qubit(), spectral_decompose(H2), 1.0, 1.0, grid,
                          NoisePath(increments=np.zeros(5)))
 
 
@@ -239,17 +238,16 @@ class TestEigenbasisKernel:
                 expected, clamps = matrix_form_path(rho0, h, sigma, hbar, grid, noise)
             except StepDivergence as exc:
                 with pytest.raises(StepDivergence) as caught:
-                    simulate_sme(rho0, h, sigma, hbar, grid, noise)
+                    simulate_sme(rho0, spec, sigma, hbar, grid, noise)
                 assert caught.value.step == exc.step
                 continue
-            traj = simulate_sme(rho0, h, sigma, hbar, grid, noise)
+            traj = simulate_sme(rho0, spec, sigma, hbar, grid, noise)
             assert np.max(np.abs(traj.states - expected)) <= 1e-12
             assert traj.repairs == clamps
             for k in range(0, grid.n_steps + 1, 100):
                 m = moments(expected[k], h)
                 assert traj.H[k] == pytest.approx(m.H, abs=1e-12)
                 assert traj.V[k] == pytest.approx(m.V, abs=1e-12)
-                assert traj.beta[k] == pytest.approx(m.beta, abs=1e-12)
                 assert traj.purity[k] == pytest.approx(np.vdot(expected[k], expected[k]).real, abs=1e-12)
                 assert np.max(np.abs(traj.pi[k] - spec.level_probabilities(expected[k]))) <= 1e-12
                 norms = offdiag_norms(expected[k], spec)
@@ -265,8 +263,9 @@ class TestEigenbasisKernel:
         u, _ = np.linalg.qr(g)
         grid = TimeGrid.from_duration(1.0, 1e-3)
         noise = sample_noise(grid, np.random.default_rng(13))
-        base = simulate_sme(rho0, h, 1.0, 1.0, grid, noise)
-        turned = simulate_sme(u @ rho0 @ u.conj().T, u @ h @ u.conj().T, 1.0, 1.0, grid, noise)
+        base = simulate_sme(rho0, spectral_decompose(h), 1.0, 1.0, grid, noise)
+        turned = simulate_sme(u @ rho0 @ u.conj().T, spectral_decompose(u @ h @ u.conj().T),
+                              1.0, 1.0, grid, noise)
         expected = u @ base.states @ u.conj().T
         assert np.max(np.abs(turned.states - expected)) <= 1e-12
         assert np.max(np.abs(turned.H - base.H)) <= 1e-12
@@ -279,7 +278,7 @@ class TestEigenbasisKernel:
         increments[6] = 0.8
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         with pytest.raises(StepDivergence) as caught:
-            simulate_sme(rho, H2, 1.0, 1.0, grid, NoisePath(increments=increments))
+            simulate_sme(rho, spectral_decompose(H2), 1.0, 1.0, grid, NoisePath(increments=increments))
         assert caught.value.step == 6
         assert str(caught.value).startswith("step 6: ")
 
@@ -287,8 +286,8 @@ class TestEigenbasisKernel:
         h, rho0 = three_level()
         grid = TimeGrid.from_duration(2.0, 2e-3)
         noise = sample_noise(grid, np.random.default_rng(0))
-        assert simulate_sme(rho0, h, 0.0, 1.0, grid, noise).repairs == 0
-        clamped = simulate_sme(rho0, h, 4.0, 1.0, grid, noise)
+        assert simulate_sme(rho0, spectral_decompose(h), 0.0, 1.0, grid, noise).repairs == 0
+        clamped = simulate_sme(rho0, spectral_decompose(h), 4.0, 1.0, grid, noise)
         expected, clamps = matrix_form_path(rho0, h, 4.0, 1.0, grid, noise)
         assert clamped.repairs == clamps > 0
 
@@ -376,7 +375,8 @@ class TestLindblad:
         spec = spectral_decompose(h)
         grid = TimeGrid.from_duration(1.0, 1e-3)
         path = integrate_lindblad(rho0, h, 0.0, 1.0, grid)
-        u = unitary_propagator(spec, 1.0, 1.0)
+        # exp(-i H t / hbar) at t = hbar = 1, assembled from the eigensystem
+        u = (spec.basis * np.exp(-1j * spec.eigenvalues)) @ spec.basis.conj().T
         exact = u @ rho0 @ u.conj().T
         assert np.max(np.abs(path[-1] - exact)) < 1e-10
 
@@ -423,7 +423,7 @@ class TestIntegratorEnsemble:
         v_paths = np.empty((n, grid.n_steps + 1))
         states = np.empty((n, grid.n_steps + 1, 2, 2), dtype=complex)
         for i in range(n):
-            traj = simulate_sme(rho0, H2, sigma, 1.0, grid, sample_noise(grid, rng))
+            traj = simulate_sme(rho0, spectral_decompose(H2), sigma, 1.0, grid, sample_noise(grid, rng))
             h_paths[i] = traj.H
             v_paths[i] = traj.V
             states[i] = traj.states

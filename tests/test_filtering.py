@@ -16,11 +16,10 @@ from reduction_lab import (
     sample_noise,
     spectral_decompose,
     state_decomposition,
-    type_d_decomposition,
     validate_density,
 )
 from reduction_lab.acceptance import random_instance
-from reduction_lab.errors import NonFiniteInput, SameLevel
+from reduction_lab.errors import NonFiniteInput
 from reduction_lab.filtering import _normalize_log
 from reduction_lab.instances import three_level, two_level
 
@@ -187,9 +186,9 @@ class TestClosedFormState:
             b = np.zeros(grid.n_steps + 1)
             b[1:] = np.cumsum(b_incr)
             xi = model.energies[level] * times + b
-            path = InformationPath(grid=grid, level=level, xi=xi)
+            path = InformationPath(grid, xi)
             w = recovered_brownian(path, RHO_B, SPEC3, 1.0)
-            traj = simulate_sme(RHO_B, H3, 1.0, 1.0, grid, NoisePath(increments=np.diff(w)))
+            traj = simulate_sme(RHO_B, SPEC3, 1.0, 1.0, grid, NoisePath(increments=np.diff(w)))
             pi, log_z = model.posterior(times, xi)
             exact = model.assemble(times, pi, model.phi(times, xi, pi))
             return float(np.max(np.abs(traj.states - exact)))
@@ -346,45 +345,6 @@ class TestPhiFromPosterior:
         assert phi[0, 0] == 1.0
 
 
-class TestTypeDDecomposition:
-    def test_zero_path_gives_zero_mass(self):
-        grid = TimeGrid.from_duration(1.0, 0.1)
-        out = type_d_decomposition(0, 1, SPEC2, 1.0, grid, np.zeros(grid.n_steps + 1))
-        assert np.all(out.a == 0.0)
-        assert np.all(out.total_mass_estimate == 0.0)
-
-    def test_accumulated_mass_is_nondecreasing(self):
-        grid = TimeGrid.from_duration(20.0, 0.05)
-        path = make_information_path(0, SPEC2, 1.0, grid, sample_noise(grid, np.random.default_rng(14)))
-        traj = closed_form_trajectory(FilterModel(HALF, SPEC2, 1.0, 1.0), path)
-        out = type_d_decomposition(0, 1, SPEC2, 1.0, grid, traj.phi[:, 0])
-        assert np.all(np.diff(out.a) >= 0)
-
-    def test_total_mass_mean_is_one(self):
-        # Phi_0 = E[A_inf]: the increasing part accumulates unit mean mass
-        # once the potential has died out (t_max >> 8 / (sigma dE)^2)
-        model = FilterModel(HALF, SPEC2, 1.0, 1.0)
-        grid = TimeGrid.from_duration(80.0, 0.1)
-        rng = np.random.default_rng(15)
-        n = 1500
-        totals = np.empty(n)
-        times = grid.times()
-        for i in range(n):
-            level = model.draw_level(rng)
-            path = make_information_path(level, SPEC2, 1.0, grid, sample_noise(grid, rng))
-            pi, log_z = model.posterior(times, path.xi)
-            phi = model.phi(times, path.xi, pi)[:, 0]
-            out = type_d_decomposition(0, 1, SPEC2, 1.0, grid, phi)
-            totals[i] = out.a[-1]
-        se = totals.std(ddof=1) / np.sqrt(n)
-        assert abs(totals.mean() - 1.0) <= 3 * se
-
-    def test_same_level_rejected(self):
-        grid = TimeGrid.from_duration(1.0, 0.1)
-        with pytest.raises(SameLevel):
-            type_d_decomposition(2, 2, SPEC3, 1.0, grid, np.ones(grid.n_steps + 1))
-
-
 class TestStateDecomposition:
     def test_time_zero_recombines_initial_state(self):
         out = state_decomposition(RHO_B, SPEC3, 1.0, 1.0, 0.0, 0.0)
@@ -476,7 +436,7 @@ class TestClosedFormTrajectory:
         w = recovered_brownian(path, RHO_B, SPEC3, 1.0)
         assert np.array_equal(traj.w, w)
         for slot, phi in enumerate(model.phi(t, xi)):
-            assert traj.phi[k, slot] == pytest.approx(phi, rel=1e-12)
+            assert traj.offdiag[k, slot] == pytest.approx(phi * model.r0_norm[slot], rel=1e-12)
 
     def test_states_assembled_from_columns_are_valid(self):
         grid = TimeGrid.from_duration(5.0, 0.05)
@@ -484,6 +444,6 @@ class TestClosedFormTrajectory:
         path = make_information_path(0, SPEC3, 1.0, grid, sample_noise(grid, np.random.default_rng(21)))
         traj = closed_form_trajectory(model, path)
         times = grid.times()
-        states = model.assemble(times, traj.pi, traj.phi)
+        states = model.assemble(times, traj.pi, model.phi(times, traj.xi, traj.pi))
         for k in range(0, grid.n_steps + 1, 25):
             validate_density(states[k])

@@ -62,9 +62,17 @@ class TestConfigValidation:
         ("ci_multiplier", float("nan"), "ci_multiplier"),
         ("check_times", (float("nan"),), "check_times"),
         ("sampler_bias", (-1.0, 2.0), "sampler_bias"),
+        ("rho0", 2.0 * RHO_A, "rho0"),
+        ("rho0", RHO_A + np.array([[0.0, 0.1], [0.0, 0.0]]), "rho0"),
+        ("rho0", np.diag([1.5, -0.5]).astype(complex), "rho0"),
+        ("sigma", float("nan"), "sigma"),
+        ("sigma", -1.0, "sigma"),
+        ("hbar", 0.0, "hbar"),
+        ("drift_multiplier", float("inf"), "drift_multiplier"),
     ])
     def test_library_inputs_pass_the_config_validators(self, field, value, named):
-        # a seed of -1 used to die inside numpy, and NaN values were accepted
+        # a seed of -1 used to die inside numpy, NaN values were accepted, and
+        # a rho0 of trace 2 or one that is not Hermitian passed every check
         with pytest.raises(ValidationError, match=named):
             small_config(checks=(), **{field: value})
 
@@ -174,6 +182,15 @@ class TestNegativeControls:
         )
         summary = run_ensemble(cfg)
         assert not summary.checks["born"].passed
+
+    def test_verdicts_are_python_bools(self):
+        # drift x 1.2 misses the decay slope by more than 10 %: that verdict
+        # once came back as np.False_
+        summary = run_ensemble(small_config(grid=TimeGrid.from_duration(20.0, 0.05),
+                                            base_seed=1, drift_multiplier=1.2,
+                                            checks=CHECK_NAMES))
+        assert not summary.checks["decoherence"].passed
+        assert all(type(v.passed) is bool for v in summary.checks.values())
 
     def test_biased_sampler_still_normalizes_frequencies(self):
         cfg = small_config(checks=("born",), sampler_bias=(0.9, 0.1))

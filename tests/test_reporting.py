@@ -1,6 +1,26 @@
 import numpy as np
 
-from reduction_lab.reporting import fmt, write_csv
+from reduction_lab import FilterModel, TimeGrid, dynamics, spectral_decompose
+from reduction_lab.filtering import closed_form_trajectory, make_information_path
+from reduction_lab.instances import degenerate
+from reduction_lab.reporting import fmt, trajectory_columns, write_csv
+
+
+def test_sde_and_closed_form_share_one_record():
+    # simulate writes either route through the same trajectory_columns
+    h, rho0 = degenerate()
+    spec = spectral_decompose(h)
+    grid = TimeGrid.from_duration(0.1, 1e-2)
+    noise = dynamics.sample_noise(grid, np.random.default_rng(5))
+    sde = dynamics.simulate_sme(rho0, spec, 1.0, 1.0, grid, noise)
+    model = FilterModel(rho0, spec, 1.0, 1.0)
+    closed = closed_form_trajectory(model, make_information_path(1, spec, 1.0, grid, noise))
+    assert type(sde) is type(closed) is dynamics.Trajectory
+    assert closed.states is None and closed.repairs == 0
+    assert sde.states.shape == (grid.n_steps + 1, 3, 3)
+    sde_columns, closed_columns = trajectory_columns(sde, spec), trajectory_columns(closed, spec)
+    assert list(sde_columns) == list(closed_columns)
+    assert list(sde_columns) == ["t", "H_t", "V_t", "purity", "xi", "W", "pi_1", "pi_2", "R_12"]
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):

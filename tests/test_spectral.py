@@ -98,7 +98,8 @@ class TestSpectralDecompose:
             total += p
         assert np.max(np.abs(total - np.eye(n))) <= tol
         scale = max(1.0, float(np.max(np.abs(spec.energies))))
-        assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-8 * scale
+        reconstructed = sum(e * p for e, p in zip(spec.energies, spec.projectors))
+        assert np.max(np.abs(reconstructed - h)) <= 1e-8 * scale
         assert np.all(np.diff(spec.energies) > 0)
 
     def test_strictly_increasing_after_merge(self):

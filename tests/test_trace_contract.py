@@ -81,6 +81,9 @@ def test_traced_points_cover_the_ensemble(monkeypatch):
 def test_sde_and_csv_call_shapes():
     for fn in (dynamics.simulate_sme, dynamics.integrate_lindblad):
         assert list(inspect.signature(fn).parameters)[4] == "grid", fn.__name__
+    # the integrator takes H only as its spectral decomposition
+    params = list(inspect.signature(dynamics.simulate_sme).parameters)
+    assert params[:5] == ["rho0", "spec", "sigma", "hbar", "grid"]
     assert list(inspect.signature(reporting.write_csv).parameters) == ["path", "columns"]
 
 
@@ -95,9 +98,10 @@ def test_traced_sde_steps_and_csv_values(monkeypatch, tmp_path):
     h, rho0 = three_level()
     grid = TimeGrid.from_duration(0.05, 1e-3)
     noise = dynamics.sample_noise(grid, np.random.default_rng(3))
-    traj = dynamics.simulate_sme(rho0, h, 1.0, 1.0, grid, noise)
+    spec = spectral_decompose(h)
+    traj = dynamics.simulate_sme(rho0, spec, 1.0, 1.0, grid, noise)
     path = tmp_path / "trajectory.csv"
-    reporting.write_csv(str(path), reporting.trajectory_columns(traj, spectral_decompose(h)))
+    reporting.write_csv(str(path), reporting.trajectory_columns(traj, spec))
 
     entries = {span: entry for (span, _), entry in tracer.totals.items()}
     assert grid.n_steps == 50
