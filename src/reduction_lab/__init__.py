@@ -2,6 +2,7 @@
 stochastic master equation, the exact filtering solution, and a Monte Carlo
 harness that verifies the model's analytic consequences."""
 
+from .config import CHECK_NAMES, RunConfig
 from .dynamics import (
     NoisePath,
     TimeGrid,
@@ -27,7 +28,7 @@ from .filtering import (
     sde_gap,
     state_decomposition,
 )
-from .harness import EnsembleConfig, EnsembleSummary, Verdict, run_ensemble
+from .harness import EnsembleSummary, Verdict, run_ensemble
 from .spectral import (
     DEFAULT_TOLS,
     SpectralDecomposition,

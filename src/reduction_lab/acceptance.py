@@ -36,7 +36,7 @@ from .filtering import (
     sde_gap,
     state_decomposition,
 )
-from .harness import EnsembleConfig, run_ensemble
+from .harness import run_ensemble
 from .instances import degenerate, three_level, two_level
 from .spectral import spectral_decompose
 
@@ -82,12 +82,12 @@ def _result(number, claim, passed, measured, threshold, started, **details):
 
 def ensemble_a() -> "EnsembleSummary":
     h, rho0 = two_level()
-    cfg = EnsembleConfig(
+    cfg = RunConfig(
         hamiltonian=h,
         rho0=rho0,
-        grid=TimeGrid.from_duration(150.0, 0.25),
+        t_max=150.0, dt=0.25,
         n_paths=10_000,
-        base_seed=SEED_A,
+        seed=SEED_A,
         checks=("martingales", "variance_decay", "luders"),
         check_times=(0.5, 1.0, 2.0),
     )
@@ -96,12 +96,12 @@ def ensemble_a() -> "EnsembleSummary":
 
 def ensemble_b() -> "EnsembleSummary":
     h, rho0 = three_level()
-    cfg = EnsembleConfig(
+    cfg = RunConfig(
         hamiltonian=h,
         rho0=rho0,
-        grid=TimeGrid.from_duration(60.0, 0.05),
+        t_max=60.0, dt=0.05,
         n_paths=10_000,
-        base_seed=SEED_B,
+        seed=SEED_B,
         checks=("born", "martingales", "decoherence"),
     )
     return run_ensemble(cfg)
@@ -109,12 +109,12 @@ def ensemble_b() -> "EnsembleSummary":
 
 def ensemble_c() -> "EnsembleSummary":
     h, rho0 = degenerate()
-    cfg = EnsembleConfig(
+    cfg = RunConfig(
         hamiltonian=h,
         rho0=rho0,
-        grid=TimeGrid.from_duration(150.0, 0.5),
+        t_max=150.0, dt=0.5,
         n_paths=10_000,
-        base_seed=SEED_C,
+        seed=SEED_C,
         checks=("born", "martingales", "luders"),
     )
     return run_ensemble(cfg)
@@ -407,19 +407,19 @@ def criterion_negative_controls() -> CriterionResult:
     started = time.perf_counter()
     h2, rho2 = two_level()
     doubled = run_ensemble(
-        EnsembleConfig(
+        RunConfig(
             hamiltonian=h2, rho0=rho2,
-            grid=TimeGrid.from_duration(10.0, 0.1),
-            n_paths=2000, base_seed=SEED_CONTROL,
+            t_max=10.0, dt=0.1,
+            n_paths=2000, seed=SEED_CONTROL,
             checks=("martingales",), drift_multiplier=2.0,
         )
     )
     h3, rho3 = three_level()
     biased = run_ensemble(
-        EnsembleConfig(
+        RunConfig(
             hamiltonian=h3, rho0=rho3,
-            grid=TimeGrid.from_duration(30.0, 0.5),
-            n_paths=2000, base_seed=SEED_CONTROL,
+            t_max=30.0, dt=0.5,
+            n_paths=2000, seed=SEED_CONTROL,
             checks=("born",), sampler_bias=(0.5, 0.25, 0.25),
         )
     )

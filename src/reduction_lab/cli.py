@@ -16,26 +16,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import acceptance
-from .config import (
-    MODES,
-    RunConfig,
-    parse_config,
-    validate_checks,
-    validate_n_paths,
-    validate_seed,
-)
+from .config import MODES, RunConfig, parse_config
 from .dynamics import sample_noise, simulate_sme
 from .errors import ReductionLabError
-from .filtering import (
-    FilterModel,
-    closed_form_trajectory,
-    default_horizon,
-    make_information_path,
-    sde_gap,
-)
-from .harness import EnsembleConfig, path_rng, run_ensemble
+from .filtering import FilterModel, closed_form_trajectory, make_information_path, sde_gap
+from .harness import path_rng, run_ensemble
 from .reporting import (
     lindblad_columns,
     summary_columns,
@@ -43,7 +31,6 @@ from .reporting import (
     write_csv,
     write_summary_json,
 )
-from .spectral import spectral_decompose, validate_density
 
 
 def _load_config(args) -> RunConfig:
@@ -51,18 +38,12 @@ def _load_config(args) -> RunConfig:
         raise ReductionLabError("--config PATH is required for this command")
     with open(args.config) as handle:
         cfg = parse_config(handle.read())
-    # overrides pass the validators of the config fields they replace
-    if args.seed is not None:
-        cfg.seed = validate_seed(args.seed)
-    if args.paths is not None:
-        cfg.n_paths = validate_n_paths(args.paths)
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if getattr(args, "mode", None):
-        cfg.mode = args.mode
+    # replace() runs RunConfig's validator over the overridden fields
+    overrides = {"seed": args.seed, "n_paths": args.paths, "output_dir": args.out,
+                 "mode": getattr(args, "mode", None)}
     if getattr(args, "checks", None):
-        cfg.checks = validate_checks([n.strip() for n in args.checks.split(",") if n.strip()])
-    return cfg
+        overrides["checks"] = [n.strip() for n in args.checks.split(",") if n.strip()]
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -74,10 +55,7 @@ def _setup(args):
     """(config, validated rho_0, spectral decomposition, grid): the
     prologue of every command that runs one instance."""
     cfg = _load_config(args)
-    rho0 = validate_density(cfg.rho0, cfg.tolerances)
-    spec = spectral_decompose(cfg.hamiltonian, tols=cfg.tolerances)
-    t_max = cfg.t_max if cfg.t_max is not None else default_horizon(spec, rho0, cfg.sigma)
-    return cfg, rho0, spec, cfg.grid(t_max)
+    return (cfg, *cfg.resolve())
 
 
 def cmd_simulate(args) -> int:
@@ -107,23 +85,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    cfg, rho0, _, grid = _setup(args)
-    ensemble_cfg = EnsembleConfig(
-        hamiltonian=cfg.hamiltonian,
-        rho0=rho0,
-        grid=grid,
-        n_paths=cfg.n_paths,
-        base_seed=cfg.seed,
-        sigma=cfg.sigma,
-        hbar=cfg.hbar,
-        checks=cfg.checks or tuple(),
-        ci_multiplier=cfg.ci_multiplier,
-        check_times=cfg.check_times,
-        drift_multiplier=cfg.drift_multiplier,
-        sampler_bias=cfg.sampler_bias,
-        tols=cfg.tolerances,
-    )
-    summary = run_ensemble(ensemble_cfg)
+    cfg = _load_config(args)
+    summary = run_ensemble(cfg)
 
     # the echo describes the run, not where its files land: output paths
     # stay out so reruns into different directories stay byte-identical

@@ -3,7 +3,9 @@
 The config is a JSON key/value tree. Complex matrices are encoded as
 paired row-major "real"/"imag" arrays (imag may be omitted when zero), so
 no complex-literal syntax has to be parsed. Unknown keys anywhere in the
-tree are rejected with the offending field path.
+tree are rejected with the offending field path. parse_config only
+decodes; RunConfig's constructor is the one validator of run inputs, for
+the CLI and the library alike.
 """
 
 from __future__ import annotations
@@ -11,16 +13,25 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import TimeGrid
-from .errors import NotHermitian, ParseError, ValidationError
+from .errors import NotHermitian, ParseError, ReductionLabError, ValidationError
+from .filtering import default_horizon
 from .instances import INSTANCES
-from .spectral import DEFAULT_TOLS, ToleranceSet, hermiticity_defect
+from .spectral import (
+    DEFAULT_TOLS,
+    ToleranceSet,
+    hermiticity_defect,
+    require_square,
+    spectral_decompose,
+    validate_density,
+)
 
 MODES = ("sde", "closed-form", "both")
+CHECK_NAMES = ("born", "martingales", "variance_decay", "decoherence", "luders")
 
 # Largest accepted grid, in time points. Every command keeps O(points)
 # state (an ensemble keeps about 20 float64 sums per point), so a grid
@@ -35,7 +46,14 @@ _TOP_KEYS = {
 _HAM_KEYS = {"eigenvalues", "basis", "matrix"}
 _MATRIX_KEYS = {"real", "imag"}
 _GRID_KEYS = {"t_max", "dt"}
-_OUTPUT_KEYS = {"dir", "trajectory", "summary_json", "summary_csv", "lindblad"}
+# config key under "output" -> RunConfig field
+_OUTPUT_FIELDS = {
+    "dir": "output_dir",
+    "trajectory": "trajectory_file",
+    "summary_json": "summary_json_file",
+    "summary_csv": "summary_csv_file",
+    "lindblad": "lindblad_file",
+}
 _TOL_KEYS = {
     "hermiticity_tol", "trace_tol", "psd_tol", "degeneracy_tol", "luders_floor", "clamp_tol",
 }
@@ -102,50 +120,26 @@ def _positive(value, name, strict=True):
     return number
 
 
-def validate_n_paths(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n_paths: expected a positive integer, got {n!r}")
-    return n
+def _integer(value, name, low, expected):
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValidationError(f"{name}: expected {expected}, got {value!r}")
 
 
-def validate_seed(seed) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed: expected a nonnegative integer, got {seed!r}")
-    return seed
+def _nonnegative_tuple(values, name, what):
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{name}: expected a {what}")
+    return tuple(_positive(v, name, strict=False) for v in values)
 
 
-def validate_checks(checks) -> tuple:
-    from .harness import CHECK_NAMES
-
-    if not isinstance(checks, (list, tuple)):
-        raise ValidationError("checks: expected a list of check names")
-    unknown = set(checks) - set(CHECK_NAMES)
-    if unknown:
-        raise ValidationError(f"checks: unknown names {sorted(unknown)}")
-    return tuple(checks)
-
-
-def validate_check_times(times) -> tuple:
-    if not isinstance(times, (list, tuple)):
-        raise ValidationError("check_times: expected a list of times")
-    return tuple(_positive(t, "check_times", strict=False) for t in times)
-
-
-def validate_sampler_bias(bias) -> tuple:
-    if not isinstance(bias, (list, tuple)) or not bias:
-        raise ValidationError("sampler_bias: expected a nonempty list of weights")
-    bias = tuple(_positive(b, "sampler_bias", strict=False) for b in bias)
-    if not sum(bias) > 0:
-        raise ValidationError("sampler_bias: at least one weight must be > 0")
-    return bias
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Validated run inputs with defaults filled in.
 
     t_max = None means "choose the collapse horizon from the instance"
     (resolved against the spectral gap and initial energy variance).
+    drift_multiplier and sampler_bias are negative-control fixtures: they
+    corrupt the simulated dynamics while the checks keep testing the
+    honest claims, and must therefore cause failures when != defaults.
     """
 
     hamiltonian: np.ndarray
@@ -170,9 +164,81 @@ class RunConfig:
     sampler_bias: tuple | None = None
     instance: str | None = None
 
+    def __post_init__(self):
+        """Check every field; every failure names it. Numbers are stored
+        as floats and lists as tuples, while rho0 is kept as given."""
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        tols = self.tolerances.override(**{
+            key: _positive(value, f"tolerances.{key}")
+            for key in sorted(_TOL_KEYS)
+            if (value := getattr(self.tolerances, key)) is not None
+        })
+        store("tolerances", tols)
+
+        try:
+            h = require_square(self.hamiltonian)
+        except ReductionLabError as exc:
+            raise ValidationError(f"hamiltonian: {exc}") from exc
+        defect = hermiticity_defect(h)
+        if defect > tols.hermiticity_tol:
+            raise NotHermitian(defect, tols.hermiticity_tol)
+        if np.shape(self.rho0) != h.shape:
+            raise ValidationError(
+                f"rho0: shape {np.shape(self.rho0)} does not match hamiltonian {h.shape}"
+            )
+        try:
+            validate_density(self.rho0, tols)
+        except ReductionLabError as exc:
+            raise ValidationError(f"rho0: {exc}") from exc
+
+        store("sigma", _positive(self.sigma, "sigma", strict=False))
+        store("hbar", _positive(self.hbar, "hbar"))
+        store("dt", _positive(self.dt, "grid.dt"))
+        if self.t_max is not None:
+            store("t_max", _positive(self.t_max, "grid.t_max"))
+            check_grid_size(self.t_max, self.dt)
+        _integer(self.n_paths, "n_paths", 1, "a positive integer")
+        _integer(self.seed, "seed", 0, "a nonnegative integer")
+        if self.mode not in MODES:
+            raise ValidationError(f"mode: expected one of {MODES}, got {self.mode!r}")
+
+        if not isinstance(self.checks, (list, tuple)):
+            raise ValidationError("checks: expected a list of check names")
+        unknown = set(self.checks) - set(CHECK_NAMES)
+        if unknown:
+            raise ValidationError(f"checks: unknown names {sorted(unknown)}")
+        store("checks", tuple(self.checks))
+        if self.checks and self.n_paths < 100:
+            raise ValidationError(
+                f"CI-based checks need n_paths >= 100, got {self.n_paths}"
+            )
+        store("check_times", _nonnegative_tuple(self.check_times, "check_times", "list of times"))
+
+        for key, name in _OUTPUT_FIELDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValidationError(f"output.{key}: expected a nonempty string")
+        store("ci_multiplier", _positive(self.ci_multiplier, "ci_multiplier"))
+        store("drift_multiplier", _positive(self.drift_multiplier, "drift_multiplier"))
+        if self.sampler_bias is not None:
+            bias = _nonnegative_tuple(self.sampler_bias, "sampler_bias", "list of weights")
+            if not sum(bias) > 0:
+                raise ValidationError("sampler_bias: expected at least one weight > 0")
+            store("sampler_bias", bias)
+
     def grid(self, t_max: float) -> TimeGrid:
         check_grid_size(t_max, self.dt)
         return TimeGrid.from_duration(t_max, self.dt)
+
+    def resolve(self):
+        """(validated rho_0, spectral decomposition, grid): the prologue of
+        every run, with t_max = None resolved to the collapse horizon."""
+        rho0 = validate_density(self.rho0, self.tolerances)
+        spec = spectral_decompose(self.hamiltonian, tols=self.tolerances)
+        t_max = self.t_max if self.t_max is not None else default_horizon(spec, rho0, self.sigma)
+        return rho0, spec, self.grid(t_max)
 
     def to_dict(self) -> dict:
         out = {
@@ -186,13 +252,7 @@ class RunConfig:
             "mode": self.mode,
             "checks": list(self.checks),
             "check_times": list(self.check_times),
-            "output": {
-                "dir": self.output_dir,
-                "trajectory": self.trajectory_file,
-                "summary_json": self.summary_json_file,
-                "summary_csv": self.summary_csv_file,
-                "lindblad": self.lindblad_file,
-            },
+            "output": {key: getattr(self, name) for key, name in _OUTPUT_FIELDS.items()},
             "ci_multiplier": self.ci_multiplier,
             "drift_multiplier": self.drift_multiplier,
         }
@@ -242,7 +302,8 @@ def _parse_hamiltonian(node) -> np.ndarray:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate config text; every failure names the field."""
+    """Decode config text into a RunConfig, which validates it; every
+    failure names the field."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -251,7 +312,9 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError("top level must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
 
-    cfg = {}
+    # the remaining top-level keys are RunConfig fields of the same name
+    nested = ("instance", "hamiltonian", "rho0", "grid", "output", "tolerances")
+    cfg = {key: value for key, value in raw.items() if key not in nested}
     if "instance" in raw:
         name = raw["instance"]
         if name not in INSTANCES:
@@ -260,76 +323,21 @@ def parse_config(text: str) -> RunConfig:
             )
         if "hamiltonian" in raw or "rho0" in raw:
             raise ValidationError("instance: cannot combine with explicit hamiltonian/rho0")
-        h, rho0 = INSTANCES[name]()
+        cfg["hamiltonian"], cfg["rho0"] = INSTANCES[name]()
         cfg["instance"] = name
     else:
         if "hamiltonian" not in raw or "rho0" not in raw:
             raise ValidationError("config: need 'instance' or both 'hamiltonian' and 'rho0'")
-        h = _parse_hamiltonian(raw["hamiltonian"])
-        rho0 = _as_matrix(raw["rho0"], "rho0")
-    cfg["hamiltonian"] = h
-    cfg["rho0"] = rho0
+        cfg["hamiltonian"] = _parse_hamiltonian(raw["hamiltonian"])
+        cfg["rho0"] = _as_matrix(raw["rho0"], "rho0")
 
-    tols = DEFAULT_TOLS
     if "tolerances" in raw:
         _reject_unknown(raw["tolerances"], _TOL_KEYS, "tolerances")
-        overrides = {}
-        for key, value in raw["tolerances"].items():
-            overrides[key] = None if value is None else _positive(value, f"tolerances.{key}")
-        tols = tols.override(**overrides)
-    cfg["tolerances"] = tols
-
-    defect = hermiticity_defect(h)
-    if defect > tols.hermiticity_tol:
-        raise NotHermitian(defect, tols.hermiticity_tol)
-    if h.shape != rho0.shape:
-        raise ValidationError(
-            f"rho0: shape {rho0.shape} does not match hamiltonian {h.shape}"
-        )
-
-    if "sigma" in raw:
-        cfg["sigma"] = _positive(raw["sigma"], "sigma", strict=False)
-    if "hbar" in raw:
-        cfg["hbar"] = _positive(raw["hbar"], "hbar")
+        cfg["tolerances"] = DEFAULT_TOLS.override(**raw["tolerances"])
     if "grid" in raw:
         _reject_unknown(raw["grid"], _GRID_KEYS, "grid")
-        if "dt" in raw["grid"]:
-            cfg["dt"] = _positive(raw["grid"]["dt"], "grid.dt")
-        if "t_max" in raw["grid"]:
-            cfg["t_max"] = _positive(raw["grid"]["t_max"], "grid.t_max")
-            check_grid_size(cfg["t_max"], cfg.get("dt", RunConfig.dt))
-    if "n_paths" in raw:
-        cfg["n_paths"] = validate_n_paths(raw["n_paths"])
-    if "seed" in raw:
-        cfg["seed"] = validate_seed(raw["seed"])
-    if "mode" in raw:
-        if raw["mode"] not in MODES:
-            raise ValidationError(f"mode: expected one of {MODES}, got {raw['mode']!r}")
-        cfg["mode"] = raw["mode"]
-    if "checks" in raw:
-        cfg["checks"] = validate_checks(raw["checks"])
-    if "check_times" in raw:
-        cfg["check_times"] = validate_check_times(raw["check_times"])
+        cfg.update(raw["grid"])
     if "output" in raw:
-        _reject_unknown(raw["output"], _OUTPUT_KEYS, "output")
-        mapping = {
-            "dir": "output_dir",
-            "trajectory": "trajectory_file",
-            "summary_json": "summary_json_file",
-            "summary_csv": "summary_csv_file",
-            "lindblad": "lindblad_file",
-        }
-        for key, attr in mapping.items():
-            if key in raw["output"]:
-                value = raw["output"][key]
-                if not isinstance(value, str) or not value:
-                    raise ValidationError(f"output.{key}: expected a nonempty string")
-                cfg[attr] = value
-    if "ci_multiplier" in raw:
-        cfg["ci_multiplier"] = _positive(raw["ci_multiplier"], "ci_multiplier")
-    if "drift_multiplier" in raw:
-        cfg["drift_multiplier"] = _positive(raw["drift_multiplier"], "drift_multiplier")
-    if raw.get("sampler_bias") is not None:
-        cfg["sampler_bias"] = validate_sampler_bias(raw["sampler_bias"])
-
+        _reject_unknown(raw["output"], set(_OUTPUT_FIELDS), "output")
+        cfg.update({_OUTPUT_FIELDS[key]: value for key, value in raw["output"].items()})
     return RunConfig(**cfg)

@@ -3,7 +3,7 @@
 Paths are simulated with the closed-form filtering solution, which is exact
 at every grid time, so the output grid spacing controls reporting
 resolution only, not accuracy. Each path has its own counter-based RNG
-stream derived from (base_seed, path index) by path_rng, which also seeds
+stream derived from (seed, path index) by path_rng, which also seeds
 the one trajectory of `simulate` as path 0; paths are processed in
 fixed-size chunks whose partial sums are reduced in chunk order, so the
 summary is bitwise identical for a fixed seed regardless of how many
@@ -35,72 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (
-    _positive,
-    check_grid_size,
-    validate_check_times,
-    validate_checks,
-    validate_n_paths,
-    validate_sampler_bias,
-    validate_seed,
-)
-from .dynamics import TimeGrid, variance_bound
+from .config import CHECK_NAMES, RunConfig  # noqa: F401  (harness.CHECK_NAMES stays public)
+from .dynamics import variance_bound
 from .errors import ReductionLabError, ValidationError
 from .filtering import FilterModel, level_cdf
-from .spectral import DEFAULT_TOLS, ToleranceSet, spectral_decompose, validate_density
 
 CHUNK = 512          # fixed so that chunking never depends on thread count
 BLOCK = 1024         # time points per noise block: one generator call per path
 TILE = 64            # time points per filter tile: 64 measured fastest of 8-256
-CHECK_NAMES = ("born", "martingales", "variance_decay", "decoherence", "luders")
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Inputs for one ensemble run.
-
-    check_times lists grid times where dense mean states are recorded for
-    comparison against the exact mean state.
-    drift_multiplier and sampler_bias are negative-control fixtures: they
-    corrupt the simulated dynamics while the checks keep testing the
-    honest claims, and must therefore cause failures when != defaults.
-    """
-
-    hamiltonian: np.ndarray
-    rho0: np.ndarray
-    grid: TimeGrid
-    n_paths: int
-    base_seed: int = 0
-    sigma: float = 1.0
-    hbar: float = 1.0
-    checks: tuple = CHECK_NAMES
-    ci_multiplier: float = 3.0
-    check_times: tuple = ()
-    drift_multiplier: float = 1.0
-    sampler_bias: tuple | None = None
-    tols: ToleranceSet = DEFAULT_TOLS
-
-    def __post_init__(self):
-        # a check only: the run keeps the array it was given
-        try:
-            validate_density(self.rho0, self.tols)
-        except ReductionLabError as exc:
-            raise ValidationError(f"rho0: {exc}") from exc
-        _positive(self.sigma, "sigma", strict=False)
-        _positive(self.hbar, "hbar")
-        _positive(self.drift_multiplier, "drift_multiplier")
-        validate_seed(self.base_seed)
-        validate_n_paths(self.n_paths)
-        validate_checks(self.checks)
-        if self.checks and self.n_paths < 100:
-            raise ValidationError(
-                f"CI-based checks need n_paths >= 100, got {self.n_paths}"
-            )
-        _positive(self.ci_multiplier, "ci_multiplier")
-        validate_check_times(self.check_times)
-        check_grid_size(self.grid.t_max, self.grid.dt)
-        if self.sampler_bias is not None:
-            validate_sampler_bias(self.sampler_bias)
 
 
 @dataclass(frozen=True)
@@ -122,7 +64,7 @@ class SeriesStats:
 
 @dataclass
 class EnsembleSummary:
-    config: EnsembleConfig
+    config: RunConfig
     model: FilterModel
     times: np.ndarray
     n_paths: int
@@ -198,7 +140,7 @@ def _path_sums(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1)
 
 
-def _run_chunk(cfg: EnsembleConfig, model: FilterModel, times, check_idx, lo, hi):
+def _run_chunk(cfg: RunConfig, model: FilterModel, times, check_idx, lo, hi):
     """Simulate paths [lo, hi) and return their partial sums.
 
     Noise is drawn in blocks of BLOCK points: each path keeps its generator
@@ -210,13 +152,13 @@ def _run_chunk(cfg: EnsembleConfig, model: FilterModel, times, check_idx, lo, hi
     n_times = len(times)
     d, n_pairs = model.spec.d, len(model.pairs)
     k = 3 + d + n_pairs
-    sqrt_dt = np.sqrt(cfg.grid.dt)
+    sqrt_dt = np.sqrt(cfg.dt)
     cdf = None if cfg.sampler_bias is None else level_cdf(cfg.sampler_bias)
 
     levels = np.empty(c, dtype=np.int64)
     rngs = []
     for j in range(c):
-        rng = path_rng(cfg.base_seed, lo + j)
+        rng = path_rng(cfg.seed, lo + j)
         levels[j] = model.draw_level(rng, cdf)
         rngs.append(rng)
     drift = cfg.drift_multiplier * cfg.sigma * model.energies[levels]
@@ -293,19 +235,22 @@ def _run_chunk(cfg: EnsembleConfig, model: FilterModel, times, check_idx, lo, hi
 def thread_count() -> int:
     raw = os.environ.get("REDUCTION_LAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        print(f"warning: REDUCTION_LAB_THREADS={raw!r} is not an integer; "
+        count = 0
+    if count < 1:
+        print(f"warning: REDUCTION_LAB_THREADS={raw!r} is not a positive integer; "
               "using 1 thread", file=sys.stderr)
         return 1
+    return count
 
 
-def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
+def run_ensemble(cfg: RunConfig) -> EnsembleSummary:
     """Run n_paths independent trajectories and aggregate every verified
     statistic, then attach verdicts for the enabled checks."""
-    spec = spectral_decompose(cfg.hamiltonian, tols=cfg.tols)
-    model = FilterModel(cfg.rho0, spec, cfg.sigma, cfg.hbar, cfg.tols)
-    times = cfg.grid.times()
+    rho0, spec, grid = cfg.resolve()
+    model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
+    times = grid.times()
     n = cfg.n_paths
     if cfg.sampler_bias is not None and len(cfg.sampler_bias) != spec.d:
         raise ValidationError(
@@ -318,7 +263,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     for want, got in zip(cfg.check_times, check_idx):
         if abs(times[got] - want) > 1e-9 * max(1.0, abs(want)):
             raise ValidationError(
-                f"check time {want} is not on the output grid (dt={cfg.grid.dt})"
+                f"check time {want} is not on the output grid (dt={cfg.dt})"
             )
 
     def chunk(bounds):

@@ -111,7 +111,7 @@ def summary_report(summary: EnsembleSummary, config_echo: dict | None = None) ->
     """
     report = {
         "config": _sanitize(config_echo) if config_echo else None,
-        "base_seed": summary.config.base_seed,
+        "base_seed": summary.config.seed,
         "n_paths": summary.n_paths,
         "ci_multiplier": summary.config.ci_multiplier,
         "thresholds_are_artifact_choices": True,

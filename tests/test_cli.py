@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from reduction_lab import cli
+from reduction_lab import cli, run_ensemble
+from reduction_lab.config import parse_config
+from reduction_lab.reporting import summary_report
 
 BASE_CONFIG = {
     "instance": "three_level",
@@ -168,6 +170,19 @@ class TestEnsemble:
         assert len(pairs) >= 5
         for name, mean in pairs.items():
             assert path[name] == means[mean], name
+
+
+class TestLibraryRoute:
+    def test_cli_summary_is_the_library_summary(self, tmp_path):
+        # nothing sits between the parsed config and the run: the library
+        # route gives the bytes that `ensemble` writes
+        path = write_config(tmp_path)
+        assert cli.main(["ensemble", "--config", path, "--out", str(tmp_path)]) == 0
+        cfg = parse_config((tmp_path / "run.json").read_text())
+        echo = cfg.to_dict()
+        echo.pop("output")
+        expected = json.dumps(summary_report(run_ensemble(cfg), echo), indent=2) + "\n"
+        assert (tmp_path / "summary.json").read_text() == expected
 
 
 class TestOverrideValidation:

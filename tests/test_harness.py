@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from reduction_lab import EnsembleConfig, TimeGrid, harness, run_ensemble
+from reduction_lab import RunConfig, TimeGrid, harness, run_ensemble
 from reduction_lab.errors import ValidationError
 from reduction_lab.harness import CHECK_NAMES, thread_count
 from reduction_lab.reporting import summary_columns, summary_report
@@ -20,13 +20,13 @@ def small_config(**overrides):
     base = dict(
         hamiltonian=H2,
         rho0=RHO_A,
-        grid=TimeGrid.from_duration(20.0, 0.2),
+        t_max=20.0, dt=0.2,
         n_paths=2000,
-        base_seed=42,
+        seed=42,
         checks=("born", "martingales", "decoherence"),
     )
     base.update(overrides)
-    return EnsembleConfig(**base)
+    return RunConfig(**base)
 
 
 class TestConfigValidation:
@@ -49,15 +49,15 @@ class TestConfigValidation:
 
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValidationError, match="grid.t_max / grid.dt"):
-            small_config(grid=TimeGrid.from_duration(1e4, 1e-3))
+            small_config(t_max=1e4, dt=1e-3)
 
     def test_all_zero_sampler_bias_rejected(self):
         with pytest.raises(ValidationError, match="sampler_bias"):
             small_config(checks=("born",), sampler_bias=(0.0, 0.0))
 
     @pytest.mark.parametrize("field, value, named", [
-        ("base_seed", -1, "seed"),
-        ("base_seed", True, "seed"),
+        ("seed", -1, "seed"),
+        ("seed", True, "seed"),
         ("n_paths", True, "n_paths"),
         ("ci_multiplier", float("nan"), "ci_multiplier"),
         ("check_times", (float("nan"),), "check_times"),
@@ -65,14 +65,16 @@ class TestConfigValidation:
         ("rho0", 2.0 * RHO_A, "rho0"),
         ("rho0", RHO_A + np.array([[0.0, 0.1], [0.0, 0.0]]), "rho0"),
         ("rho0", np.diag([1.5, -0.5]).astype(complex), "rho0"),
+        ("rho0", RHO_B, "rho0"),
         ("sigma", float("nan"), "sigma"),
         ("sigma", -1.0, "sigma"),
         ("hbar", 0.0, "hbar"),
         ("drift_multiplier", float("inf"), "drift_multiplier"),
     ])
     def test_library_inputs_pass_the_config_validators(self, field, value, named):
-        # a seed of -1 used to die inside numpy, NaN values were accepted, and
-        # a rho0 of trace 2 or one that is not Hermitian passed every check
+        # a seed of -1 used to die inside numpy, NaN values were accepted, a
+        # rho0 of trace 2 or one that is not Hermitian passed every check, and
+        # a 3x3 rho0 with the 2x2 H died in a bare numpy matmul error
         with pytest.raises(ValidationError, match=named):
             small_config(checks=(), **{field: value})
 
@@ -113,18 +115,18 @@ class TestSummaryShape:
 class TestCleanInstancesPass:
     def test_two_level_reference(self):
         # the terminal-variance gate needs the full collapse horizon
-        summary = run_ensemble(small_config(grid=TimeGrid.from_duration(150.0, 0.25),
+        summary = run_ensemble(small_config(t_max=150.0, dt=0.25,
                                             n_paths=4000))
         for name, verdict in summary.checks.items():
             assert verdict.passed, (name, verdict.statistic, verdict.details)
 
     def test_three_level_with_mean_state_comparison(self):
-        cfg = EnsembleConfig(
+        cfg = RunConfig(
             hamiltonian=H3,
             rho0=RHO_B,
-            grid=TimeGrid.from_duration(150.0, 0.25),
+            t_max=150.0, dt=0.25,
             n_paths=4000,
-            base_seed=7,
+            seed=7,
             checks=("born", "martingales", "variance_decay"),
             check_times=(0.5, 1.0, 2.0),
         )
@@ -135,12 +137,12 @@ class TestCleanInstancesPass:
 
     def test_degenerate_instance_luders(self):
         h, rho0 = degenerate()
-        cfg = EnsembleConfig(
+        cfg = RunConfig(
             hamiltonian=h,
             rho0=rho0,
-            grid=TimeGrid.from_duration(150.0, 0.5),
+            t_max=150.0, dt=0.5,
             n_paths=1500,
-            base_seed=3,
+            seed=3,
             checks=("luders",),
         )
         summary = run_ensemble(cfg)
@@ -171,12 +173,12 @@ class TestNegativeControls:
         assert verdict.statistic > 5.0
 
     def test_biased_sampler_breaks_born(self):
-        cfg = EnsembleConfig(
+        cfg = RunConfig(
             hamiltonian=H3,
             rho0=RHO_B,
-            grid=TimeGrid.from_duration(30.0, 0.5),
+            t_max=30.0, dt=0.5,
             n_paths=2000,
-            base_seed=11,
+            seed=11,
             checks=("born",),
             sampler_bias=(0.5, 0.25, 0.25),
         )
@@ -186,8 +188,8 @@ class TestNegativeControls:
     def test_verdicts_are_python_bools(self):
         # drift x 1.2 misses the decay slope by more than 10 %: that verdict
         # once came back as np.False_
-        summary = run_ensemble(small_config(grid=TimeGrid.from_duration(20.0, 0.05),
-                                            base_seed=1, drift_multiplier=1.2,
+        summary = run_ensemble(small_config(t_max=20.0, dt=0.05,
+                                            seed=1, drift_multiplier=1.2,
                                             checks=CHECK_NAMES))
         assert not summary.checks["decoherence"].passed
         assert all(type(v.passed) is bool for v in summary.checks.values())
@@ -227,7 +229,7 @@ class TestDeterminism:
 
     def test_seed_changes_results(self):
         a = run_ensemble(small_config())
-        b = run_ensemble(small_config(base_seed=43))
+        b = run_ensemble(small_config(seed=43))
         assert not np.array_equal(a.h_series.mean, b.h_series.mean)
 
     def test_thread_env_parsing(self):
@@ -235,9 +237,11 @@ class TestDeterminism:
             assert thread_count() == 1
 
     def test_non_integer_thread_env_warns(self, capsys):
-        with mock.patch.dict(os.environ, {"REDUCTION_LAB_THREADS": "abc"}):
-            assert thread_count() == 1
-        assert "REDUCTION_LAB_THREADS" in capsys.readouterr().err
+        # 0 and -3 used to run one thread without a word
+        for raw in ("abc", "0", "-3"):
+            with mock.patch.dict(os.environ, {"REDUCTION_LAB_THREADS": raw}):
+                assert thread_count() == 1
+            assert "REDUCTION_LAB_THREADS" in capsys.readouterr().err, raw
 
 
 def _summary_bytes(summary):
@@ -261,8 +265,8 @@ class TestTimeBlocks:
         h, rho0 = instance()
         grid = TimeGrid.from_duration(3.2, 0.1)          # 33 points
         assert len(grid.times()) % 7 != 0
-        cfg = EnsembleConfig(
-            hamiltonian=h, rho0=rho0, grid=grid, n_paths=n_paths, base_seed=5,
+        cfg = RunConfig(
+            hamiltonian=h, rho0=rho0, t_max=3.2, dt=0.1, n_paths=n_paths, seed=5,
             checks=CHECK_NAMES,
             # t = 0, both sides of the first block edge at BLOCK = 7, and t_max
             check_times=(0.0, 0.6, 0.7, 1.4, 3.2),
@@ -278,9 +282,9 @@ class TestTimeBlocks:
     def test_tile_size_does_not_change_results(self, block, tile):
         # tiles of one point, tiles that straddle nothing, and tiles at least
         # as wide as the block (each block is then a single tile)
-        cfg = EnsembleConfig(
-            hamiltonian=H3, rho0=RHO_B, grid=TimeGrid.from_duration(3.2, 0.1),
-            n_paths=513, base_seed=5, checks=CHECK_NAMES,
+        cfg = RunConfig(
+            hamiltonian=H3, rho0=RHO_B, t_max=3.2, dt=0.1,
+            n_paths=513, seed=5, checks=CHECK_NAMES,
             check_times=(0.0, 0.4, 0.5, 1.4, 3.2),
         )
         reference = _summary_bytes(run_ensemble(cfg))
@@ -292,11 +296,11 @@ class TestTimeBlocks:
 
     def test_memory_does_not_grow_with_the_grid(self):
         # one (128, T, 3) float64 array on this grid is 307 MB
-        cfg = EnsembleConfig(
-            hamiltonian=H3, rho0=RHO_B, grid=TimeGrid.from_duration(100.0, 1e-3),
-            n_paths=128, base_seed=1, checks=(),
+        cfg = RunConfig(
+            hamiltonian=H3, rho0=RHO_B, t_max=100.0, dt=1e-3,
+            n_paths=128, seed=1, checks=(),
         )
-        assert len(cfg.grid.times()) == 100_001
+        assert len(cfg.grid(cfg.t_max).times()) == 100_001
         tracemalloc.start()
         try:
             run_ensemble(cfg)
@@ -312,9 +316,9 @@ class TestZeroWeightPairs:
 
     @staticmethod
     def config(rho0, seed):
-        return EnsembleConfig(
-            hamiltonian=H3, rho0=rho0, grid=TimeGrid.from_duration(20.0, 0.05),
-            n_paths=2000, base_seed=seed, checks=("martingales", "decoherence"),
+        return RunConfig(
+            hamiltonian=H3, rho0=rho0, t_max=20.0, dt=0.05,
+            n_paths=2000, seed=seed, checks=("martingales", "decoherence"),
         )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -8,7 +8,9 @@ integrate_lindblad; `path` and `columns` of write_csv). The benchmark
 counts SDE work as calls of dynamics.sme_step, so simulate_sme must step
 through that public name. A rename, a keyword-only call or a step that
 bypasses sme_step breaks the traced benchmark run; these tests catch that
-here. The tracer module is only read, never changed.
+here. perfbench/setup_probe.py reads hamiltonian, rho0, sigma, hbar and
+tolerances off the config that parse_config returns. The tracer module is
+only read, never changed.
 """
 
 import importlib
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from reduction_lab import (
-    EnsembleConfig,
+    RunConfig,
     TimeGrid,
     dynamics,
     harness,
@@ -27,6 +29,7 @@ from reduction_lab import (
     run_ensemble,
     spectral_decompose,
 )
+from reduction_lab.config import parse_config
 from reduction_lab.filtering import FilterModel
 from reduction_lab.instances import three_level
 
@@ -49,6 +52,16 @@ def test_every_traced_name_resolves():
     assert set(harness.CHECKS) == set(harness.CHECK_NAMES)
 
 
+def test_parse_config_carries_the_setup_probe_fields():
+    # perfbench/setup_probe.py builds the spectral decomposition and the
+    # FilterModel from these fields of the parsed config
+    cfg = parse_config('{"instance": "three_level"}')
+    for name in ("hamiltonian", "rho0", "sigma", "hbar", "tolerances"):
+        assert hasattr(cfg, name), name
+    spec = spectral_decompose(cfg.hamiltonian, tols=cfg.tolerances)
+    FilterModel(cfg.rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
+
+
 def test_run_chunk_signature_is_unchanged():
     params = list(inspect.signature(harness._run_chunk).parameters)
     assert params == ["cfg", "model", "times", "check_idx", "lo", "hi"]
@@ -66,8 +79,8 @@ def test_traced_points_cover_the_ensemble(monkeypatch):
                         tracer.wrap("harness.chunk", harness._run_chunk, attrs["harness.chunk"]))
     h, rho0 = three_level()
     grid = TimeGrid.from_duration(3.2, 0.1)
-    cfg = EnsembleConfig(hamiltonian=h, rho0=rho0, grid=grid, n_paths=600, base_seed=2,
-                         checks=("born",), check_times=(1.0,))
+    cfg = RunConfig(hamiltonian=h, rho0=rho0, t_max=3.2, dt=0.1, n_paths=600, seed=2,
+                    checks=("born",), check_times=(1.0,))
     run_ensemble(cfg)
 
     points = {}
