@@ -22,7 +22,7 @@ from . import acceptance
 from .config import MODES, RunConfig, parse_config
 from .dynamics import sample_noise, simulate_sme
 from .errors import ReductionLabError
-from .filtering import FilterModel, closed_form_trajectory, make_information_path, sde_gap
+from .filtering import closed_form_trajectory, make_information_path, sde_gap
 from .harness import path_rng, run_ensemble
 from .reporting import (
     lindblad_columns,
@@ -51,26 +51,20 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
-def _setup(args):
-    """(config, validated rho_0, spectral decomposition, grid): the
-    prologue of every command that runs one instance."""
-    cfg = _load_config(args)
-    return (cfg, *cfg.resolve())
-
-
 def cmd_simulate(args) -> int:
-    cfg, rho0, spec, grid = _setup(args)
+    cfg = _load_config(args)
+    model, grid = cfg.resolve()
     # the trajectory is path 0 of an ensemble with the same seed
     rng = path_rng(cfg.seed, 0)
 
     if cfg.mode == "sde":
         traj = sde = simulate_sme(
-            rho0, spec, cfg.sigma, cfg.hbar, grid, sample_noise(grid, rng), cfg.tolerances
+            model.rho0, model.spec, cfg.sigma, cfg.hbar, grid, sample_noise(grid, rng),
+            cfg.tolerances,
         )
     else:
-        model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
         level = model.draw_level(rng)
-        path = make_information_path(level, spec, cfg.sigma, grid, sample_noise(grid, rng))
+        path = make_information_path(level, model.spec, cfg.sigma, grid, sample_noise(grid, rng))
         traj = closed_form_trajectory(model, path)
         if cfg.mode == "both":
             sde, gap = sde_gap(model, traj, cfg.tolerances)
@@ -79,7 +73,7 @@ def cmd_simulate(args) -> int:
         print(f"sde repairs: {sde.repairs} of {grid.n_steps} steps", file=sys.stderr)
 
     out = _out_path(cfg, cfg.trajectory_file)
-    write_csv(out, trajectory_columns(traj, spec))
+    write_csv(out, trajectory_columns(traj, model.spec))
     print(f"wrote {out} ({grid.n_steps + 1} rows)")
     return 0
 
@@ -109,8 +103,8 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_lindblad(args) -> int:
-    cfg, rho0, spec, grid = _setup(args)
-    model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
+    cfg = _load_config(args)
+    model, grid = cfg.resolve()
     out = _out_path(cfg, cfg.lindblad_file)
     write_csv(out, lindblad_columns(model.mean_state(grid.times()), grid))
     print(f"wrote {out} ({grid.n_steps + 1} rows)")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import TimeGrid
 from .errors import NotHermitian, ParseError, ReductionLabError, ValidationError
-from .filtering import default_horizon
+from .filtering import FilterModel, default_horizon
 from .instances import INSTANCES
 from .spectral import (
     DEFAULT_TOLS,
@@ -162,7 +162,6 @@ class RunConfig:
     ci_multiplier: float = 3.0
     drift_multiplier: float = 1.0
     sampler_bias: tuple | None = None
-    instance: str | None = None
 
     def __post_init__(self):
         """Check every field; every failure names it. Numbers are stored
@@ -232,13 +231,14 @@ class RunConfig:
         check_grid_size(t_max, self.dt)
         return TimeGrid.from_duration(t_max, self.dt)
 
-    def resolve(self):
-        """(validated rho_0, spectral decomposition, grid): the prologue of
-        every run, with t_max = None resolved to the collapse horizon."""
+    def resolve(self) -> tuple:
+        """(FilterModel, grid): the prologue of every run, with t_max = None
+        resolved to the collapse horizon."""
         rho0 = validate_density(self.rho0, self.tolerances)
         spec = spectral_decompose(self.hamiltonian, tols=self.tolerances)
-        t_max = self.t_max if self.t_max is not None else default_horizon(spec, rho0, self.sigma)
-        return rho0, spec, self.grid(t_max)
+        model = FilterModel(rho0, spec, self.sigma, self.hbar, self.tolerances)
+        t_max = self.t_max if self.t_max is not None else default_horizon(model)
+        return model, self.grid(t_max)
 
     def to_dict(self) -> dict:
         out = {
@@ -324,7 +324,6 @@ def parse_config(text: str) -> RunConfig:
         if "hamiltonian" in raw or "rho0" in raw:
             raise ValidationError("instance: cannot combine with explicit hamiltonian/rho0")
         cfg["hamiltonian"], cfg["rho0"] = INSTANCES[name]()
-        cfg["instance"] = name
     else:
         if "hamiltonian" not in raw or "rho0" not in raw:
             raise ValidationError("config: need 'instance' or both 'hamiltonian' and 'rho0'")

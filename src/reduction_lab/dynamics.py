@@ -14,14 +14,16 @@ The ensemble mean has a closed form, FilterModel.mean_state, which the
 lindblad command and the variance_decay check use; integrate_lindblad
 stays as the numerical oracle the tests hold that closed form against.
 
-The density-matrix step runs in the eigenbasis of H, where every generator
+Both stochastic steps, sme_step and sse_step, take their state in the
+eigenbasis of H together with its 1-D eigenvalues e; there every generator
 is elementwise: (E_i - E_j) rho_ij, -(E_i - E_j)^2 rho_ij and
-(E_i + E_j - 2 H_t) rho_ij. It costs about ten small array operations and
-one eigvalsh, ~40 us on one core for three levels. Euler-Maruyama does not
-preserve positivity, so each step is repaired: hermitize, renormalize the
-trace, and clamp slightly negative eigenvalues; a violation beyond
-clamp_tol raises StepDivergence. States are plain frozen arrays: sme_step
-returns (state, clamped) and simulate_sme counts the clamped steps.
+(E_i + E_j - 2 H_t) rho_ij for rho, E_i c_i and (E_i - H_t) c_i for psi.
+A density-matrix step costs about ten small array operations and one
+eigvalsh. Euler-Maruyama does not preserve positivity, so each step is
+repaired: hermitize, renormalize the trace, and clamp slightly negative
+eigenvalues; a violation beyond clamp_tol raises StepDivergence. States are
+plain frozen arrays: sme_step returns (state, clamped) and simulate_sme,
+which rotates into the eigenbasis once per run, counts the clamped steps.
 """
 
 from __future__ import annotations
@@ -111,33 +113,6 @@ class Trajectory:
     repairs: int = 0                    # steps whose state the PSD clamp repaired
 
 
-def _eigenbasis(rho, h):
-    """(rho in H's eigenbasis, eigenvalues, basis); basis is None for a 1-D h."""
-    r, a = np.asarray(rho), np.asarray(h)
-    if r.shape != (len(a), len(a)):
-        raise DimensionMismatch(r.shape, a.shape)
-    if a.ndim == 1:
-        return r, a, None
-    e, basis = np.linalg.eigh(a)
-    return basis.conj().T @ r @ basis, e, basis
-
-
-def _euler(r, e, sigma: float, hbar: float, dt: float, dw: float) -> np.ndarray:
-    """The Euler-Maruyama map in the eigenbasis of H = diag(e), hermitized
-    and trace-renormalized: with dE = E_i - E_j,
-
-      r' = r + [(-i/hbar dE - sigma^2/8 dE^2) dt + sigma/2 (E_i + E_j - 2 H_t) dW] r.
-    """
-    de = e[:, None] - e
-    h_t = float(e @ r.diagonal().real)
-    generator = de * (-1j * dt / hbar - 0.125 * sigma**2 * dt * de)
-    raw = hermitian_part(r + (generator + 0.5 * sigma * dw * (e[:, None] + e - 2.0 * h_t)) * r)
-    trace = raw.trace().real
-    if not np.isfinite(trace) or trace <= 0:
-        raise StepDivergence(f"trace collapsed to {trace}")
-    return raw / trace
-
-
 def _clamp(a: np.ndarray, tols: ToleranceSet) -> tuple:
     """(a with slightly negative eigenvalues clamped, whether it was needed).
 
@@ -156,42 +131,44 @@ def _clamp(a: np.ndarray, tols: ToleranceSet) -> tuple:
     return hermitian_part(a / np.trace(a).real), True
 
 
-def sme_euler_raw(
-    rho, h, sigma: float, hbar: float, dt: float, dw: float
-) -> np.ndarray:
-    """The algebraic Euler-Maruyama map: hermitized and trace-renormalized
-    but without the PSD policy.
+def sme_euler_raw(r, e, sigma: float, hbar: float, dt: float, dw: float) -> np.ndarray:
+    """The algebraic Euler-Maruyama map of a state r in the eigenbasis of
+    H = diag(e), hermitized and trace-renormalized but without the PSD
+    policy: with dE = E_i - E_j,
+
+      r' = r + [(-i/hbar dE - sigma^2/8 dE^2) dt + sigma/2 (E_i + E_j - 2 H_t) dW] r.
 
     The generators preserve the trace exactly, so the renormalization only
     absorbs floating-point residue. A step from a pure state leaves the PSD
-    cone at order dt (dW^2 - dt), which is why the full sme_step layers a
+    cone at order dt (dW^2 - dt), which is why sme_step layers a
     clamp-or-reject policy on top of this map.
     """
-    r, e, basis = _eigenbasis(rho, h)
-    raw = _euler(r, e, sigma, hbar, dt, dw)
-    return raw if basis is None else hermitian_part(basis @ raw @ basis.conj().T)
+    r, e = np.asarray(r), np.asarray(e)
+    if e.ndim != 1 or r.shape != (len(e), len(e)):
+        raise DimensionMismatch(r.shape, e.shape)
+    de = e[:, None] - e
+    h_t = float(e @ r.diagonal().real)
+    generator = de * (-1j * dt / hbar - 0.125 * sigma**2 * dt * de)
+    raw = hermitian_part(r + (generator + 0.5 * sigma * dw * (e[:, None] + e - 2.0 * h_t)) * r)
+    trace = raw.trace().real
+    if not np.isfinite(trace) or trace <= 0:
+        raise StepDivergence(f"trace collapsed to {trace}")
+    return raw / trace
 
 
 def sme_step(
-    rho,
-    h,
+    r,
+    e,
     sigma: float,
     hbar: float,
     dt: float,
     dw: float,
     tols: ToleranceSet = DEFAULT_TOLS,
 ) -> tuple:
-    """One Euler-Maruyama step of the nonlinear stochastic master equation:
-    (the stepped state, whether it needed the PSD clamp).
-
-    The step runs in the eigenbasis of H and returns in rho's basis. h is a
-    Hamiltonian matrix, or the 1-D eigenvalues of one that is diagonal in
-    rho's basis, as simulate_sme passes it.
-    """
-    r, e, basis = _eigenbasis(rho, h)
-    a, clamped = _clamp(_euler(r, e, sigma, hbar, dt, dw), tols)
-    if basis is not None:
-        a = hermitian_part(basis @ a @ basis.conj().T)
+    """One Euler-Maruyama step of the nonlinear stochastic master equation
+    for a state r in the eigenbasis of H = diag(e): (the frozen stepped
+    state, whether it needed the PSD clamp)."""
+    a, clamped = _clamp(sme_euler_raw(r, e, sigma, hbar, dt, dw), tols)
     return _freeze(a), clamped
 
 
@@ -259,23 +236,23 @@ def simulate_sme(
     )
 
 
-def sse_step(
-    psi: np.ndarray, h, sigma: float, hbar: float, dt: float, dw: float
-) -> np.ndarray:
-    """One Euler-Maruyama step of the pure-state reduction equation,
-    renormalized to unit norm."""
-    a = np.asarray(h)
-    psi = np.asarray(psi, dtype=complex)
-    norm2 = np.vdot(psi, psi).real
+def sse_step(c, e, sigma: float, hbar: float, dt: float, dw: float) -> np.ndarray:
+    """One Euler-Maruyama step of the pure-state reduction equation for the
+    amplitudes c in the eigenbasis of H = diag(e), renormalized to unit
+    norm: with D = E - H_t,
+
+      c' = c + [(-i/hbar E - sigma^2/8 D^2) dt + sigma/2 D dW] c.
+    """
+    c, e = np.asarray(c, dtype=complex), np.asarray(e)
+    if e.ndim != 1 or c.shape != e.shape:
+        raise DimensionMismatch(c.shape, e.shape)
+    abs2 = c.real**2 + c.imag**2
+    norm2 = abs2.sum()
     if norm2 <= 0:
         raise StepDivergence("state vector has zero norm")
-    h_t = (np.vdot(psi, a @ psi).real) / norm2
-    centered = a - h_t * np.eye(a.shape[0])
-    out = (
-        psi
-        + (-1j / hbar * (a @ psi) - 0.125 * sigma**2 * (centered @ (centered @ psi))) * dt
-        + 0.5 * sigma * (centered @ psi) * dw
-    )
+    centered = e - (e @ abs2) / norm2
+    out = c + ((-1j / hbar * e - 0.125 * sigma**2 * centered**2) * dt
+               + 0.5 * sigma * dw * centered) * c
     norm = np.linalg.norm(out)
     if not np.isfinite(norm) or norm <= 0:
         raise StepDivergence("state vector norm diverged")

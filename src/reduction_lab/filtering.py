@@ -148,9 +148,13 @@ def _level_dot(a, weights, out=None, squared=False):
 
 
 def level_cdf(weights) -> np.ndarray:
-    """Cumulative distribution of levels drawn with the given weights."""
+    """Cumulative distribution of levels drawn with the given weights. It is
+    exactly 1 from the last weighted level on, whatever the rounding of the
+    sum, so every draw in [0, 1) lands on a weighted level."""
     weights = np.asarray(weights, dtype=float)
-    return np.cumsum(weights / weights.sum())
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[np.flatnonzero(weights > 0)[-1]:] = 1.0
+    return cdf
 
 
 def make_information_path(
@@ -261,12 +265,12 @@ def state_decomposition(
     return validate_density(hermitian_part(state), tols)
 
 
-def default_horizon(spec: SpectralDecomposition, rho0, sigma: float) -> float:
+def default_horizon(model: "FilterModel") -> float:
     """Operational stand-in for t -> infinity:
     max(50 / (sigma * min gap)^2, 10 / (sigma^2 V_0))."""
+    spec, sigma, v0 = model.spec, model.sigma, model.v0
     if spec.d < 2 or sigma <= 0:
         return 1.0
-    v0 = FilterModel(rho0, spec, sigma).v0
     horizon = 50.0 / (sigma * spec.min_gap) ** 2
     if v0 > 0:
         horizon = max(horizon, 10.0 / (sigma**2 * v0))

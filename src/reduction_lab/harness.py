@@ -39,6 +39,7 @@ from .config import CHECK_NAMES, RunConfig  # noqa: F401  (harness.CHECK_NAMES s
 from .dynamics import variance_bound
 from .errors import ReductionLabError, ValidationError
 from .filtering import FilterModel, level_cdf
+from .spectral import hermitian_part
 
 CHUNK = 512          # fixed so that chunking never depends on thread count
 BLOCK = 1024         # time points per noise block: one generator call per path
@@ -122,9 +123,7 @@ def _fold(parts, n_paths: int) -> dict:
 
 def _trace_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """0.5 * sum |eig(a - b)| over the last two axes."""
-    diff = a - b
-    diff = 0.5 * (diff + np.swapaxes(diff, -1, -2).conj())
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a - b))), axis=-1)
 
 
 def _path_sums(rows: np.ndarray) -> np.ndarray:
@@ -248,8 +247,8 @@ def thread_count() -> int:
 def run_ensemble(cfg: RunConfig) -> EnsembleSummary:
     """Run n_paths independent trajectories and aggregate every verified
     statistic, then attach verdicts for the enabled checks."""
-    rho0, spec, grid = cfg.resolve()
-    model = FilterModel(rho0, spec, cfg.sigma, cfg.hbar, cfg.tolerances)
+    model, grid = cfg.resolve()
+    spec = model.spec
     times = grid.times()
     n = cfg.n_paths
     if cfg.sampler_bias is not None and len(cfg.sampler_bias) != spec.d:

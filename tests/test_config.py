@@ -5,7 +5,7 @@ import pytest
 
 from reduction_lab.config import MAX_GRID_POINTS, RunConfig, parse_config
 from reduction_lab.errors import NotHermitian, ParseError, ValidationError
-from reduction_lab.filtering import default_horizon
+from reduction_lab.filtering import FilterModel, default_horizon
 from reduction_lab.instances import two_level
 from reduction_lab.spectral import spectral_decompose
 
@@ -142,7 +142,7 @@ class TestRejection:
             "hamiltonian": {"eigenvalues": [0.0, 0.01]},
             "rho0": {"real": [[0.5, 0.5], [0.5, 0.5]]},
         }))
-        horizon = default_horizon(spectral_decompose(cfg.hamiltonian), cfg.rho0, cfg.sigma)
+        horizon = default_horizon(FilterModel(cfg.rho0, spectral_decompose(cfg.hamiltonian), cfg.sigma))
         assert horizon / cfg.dt == pytest.approx(5e8)
         with pytest.raises(ValidationError, match="grid.t_max / grid.dt"):
             cfg.grid(horizon)

@@ -21,6 +21,7 @@ from reduction_lab.instances import INSTANCES, three_level
 from reduction_lab.spectral import DEFAULT_TOLS, moments, offdiag_norms, spectral_decompose
 
 H2 = np.diag([0.0, 1.0]).astype(complex)
+E2 = np.array([0.0, 1.0])     # eigenvalues of H2, which is diagonal in the standard basis
 H3 = np.diag([0.0, 1.0, 2.0]).astype(complex)
 
 
@@ -47,13 +48,13 @@ class TestTimeGrid:
 class TestSmeStep:
     def test_eigenprojector_is_fixed_point(self):
         rho = np.diag([0.0, 1.0]).astype(complex)
-        out, _ = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.04)
+        out, _ = sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.04)
         assert np.allclose(out, rho, atol=1e-14)
 
     def test_sigma_zero_is_unitary_euler(self):
         rho = coherent_qubit()
         dt = 1e-4
-        out, _ = sme_step(rho, H2, sigma=0.0, hbar=1.0, dt=dt, dw=0.3)
+        out, _ = sme_step(rho, E2, sigma=0.0, hbar=1.0, dt=dt, dw=0.3)
         # noise and dissipator off; purity drift of the Euler rotation is O(dt^2)
         before = float(np.vdot(rho, rho).real)
         after = float(np.vdot(out, out).real)
@@ -62,7 +63,7 @@ class TestSmeStep:
     def test_two_level_scalar_recursion_oracle(self):
         # diagonal rho stays diagonal: p' = p - sigma p (1 - p) dW
         rho = np.eye(2, dtype=complex) / 2
-        out, _ = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.02)
+        out, _ = sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.02)
         assert out[0, 0].real == pytest.approx(0.495, abs=1e-12)
         assert out[1, 1].real == pytest.approx(0.505, abs=1e-12)
         assert abs(out[0, 1]) < 1e-15
@@ -75,14 +76,14 @@ class TestSmeStep:
         rho = np.eye(2, dtype=complex) / 2
         for dw in increments:
             p = p - p * (1 - p) * dw
-            rho, _ = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=dt, dw=dw)
+            rho, _ = sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=dt, dw=dw)
         assert rho[0, 0].real == pytest.approx(p, abs=1e-12)
 
     def test_trace_exact_after_step(self):
         rng = np.random.default_rng(2)
         rho = coherent_qubit()
         for dw in rng.standard_normal(50) * np.sqrt(1e-3):
-            rho, _ = sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=dw)
+            rho, _ = sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=1e-3, dw=dw)
             assert abs(np.trace(rho).real - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
@@ -104,11 +105,17 @@ class TestSmeStep:
         # beyond the clamp tolerance and must be refused, not repaired
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         with pytest.raises(StepDivergence):
-            sme_step(rho, H2, sigma=1.0, hbar=1.0, dt=1e-2, dw=0.8)
+            sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=1e-2, dw=0.8)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            sme_step(np.eye(3, dtype=complex) / 3, H2, 1.0, 1.0, 1e-3, 0.0)
+            sme_step(np.eye(3, dtype=complex) / 3, E2, 1.0, 1.0, 1e-3, 0.0)
+
+    def test_wrong_length_eigenvalues_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            sme_step(coherent_qubit(), np.array([0.0, 1.0, 2.0]), 1.0, 1.0, 1e-3, 0.0)
+        with pytest.raises(DimensionMismatch):
+            sme_step(coherent_qubit(), H2, 1.0, 1.0, 1e-3, 0.0)
 
 
 class TestSimulateSme:
@@ -292,10 +299,27 @@ class TestEigenbasisKernel:
         assert clamped.repairs == clamps > 0
 
 
+def matrix_form_sse_step(psi, h, sigma, hbar, dt, dw):
+    """Reference Euler-Maruyama step of the state vector with dense matrix
+    products, renormalized to unit norm."""
+    psi = np.asarray(psi, dtype=complex)
+    norm2 = np.vdot(psi, psi).real
+    if norm2 <= 0:
+        raise StepDivergence("state vector has zero norm")
+    h_t = np.vdot(psi, h @ psi).real / norm2
+    centered = h - h_t * np.eye(h.shape[0])
+    out = (
+        psi
+        + (-1j / hbar * (h @ psi) - 0.125 * sigma**2 * (centered @ (centered @ psi))) * dt
+        + 0.5 * sigma * (centered @ psi) * dw
+    )
+    return out / np.linalg.norm(out)
+
+
 class TestSseStep:
     def test_eigenvector_direction_unchanged(self):
         psi = np.array([0.0, 1.0], dtype=complex)
-        out = sse_step(psi, H2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.1)
+        out = sse_step(psi, E2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.1)
         assert abs(np.vdot(out, psi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_sigma_zero_norm_drift_second_order(self):
@@ -319,13 +343,17 @@ class TestSseStep:
         sigma, hbar = 0.8, 1.3
         nodes, weights = np.polynomial.hermite_e.hermegauss(15)
         weights = weights / weights.sum()
+        # both steps run in h's eigenbasis; each result is rotated back
+        e, u = np.linalg.eigh(h)
+        c, r = u.conj().T @ psi, u.conj().T @ rho @ u
 
         def mean_defect(dt):
             acc = np.zeros((n, n), dtype=complex)
             for z, w in zip(nodes, weights):
                 dw = np.sqrt(dt) * z
-                p1 = sse_step(psi, h, sigma, hbar, dt, dw)
-                acc += w * (np.outer(p1, p1.conj()) - sme_euler_raw(rho, h, sigma, hbar, dt, dw))
+                p1 = u @ sse_step(c, e, sigma, hbar, dt, dw)
+                raw = u @ sme_euler_raw(r, e, sigma, hbar, dt, dw) @ u.conj().T
+                acc += w * (np.outer(p1, p1.conj()) - raw)
             return float(np.max(np.abs(acc)))
 
         coarse, fine = dt_pair
@@ -336,7 +364,30 @@ class TestSseStep:
 
     def test_zero_vector_rejected(self):
         with pytest.raises(StepDivergence):
-            sse_step(np.zeros(2, dtype=complex), H2, 1.0, 1.0, 1e-3, 0.0)
+            sse_step(np.zeros(2, dtype=complex), E2, 1.0, 1.0, 1e-3, 0.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            sse_step(np.ones(3, dtype=complex) / np.sqrt(3), E2, 1.0, 1.0, 1e-3, 0.0)
+        with pytest.raises(DimensionMismatch):
+            sse_step(np.ones(2, dtype=complex) / np.sqrt(2), H2, 1.0, 1.0, 1e-3, 0.0)
+
+    def test_matches_matrix_form_oracle(self):
+        # random H, some with forced degeneracies, and unnormalized psi: the
+        # eigenbasis step rotated back agrees with the dense reference step
+        rng = np.random.default_rng(2002)
+        degenerate = 0
+        for _ in range(40):
+            h, _, spec, sigma, hbar, _, _ = random_instance(rng)
+            degenerate += spec.d < h.shape[0]
+            u, e = spec.basis, spec.eigenvalues
+            psi = rng.standard_normal(len(e)) + 1j * rng.standard_normal(len(e))
+            for dt in (1e-3, 1e-2):
+                dw = float(rng.standard_normal()) * np.sqrt(dt)
+                expected = matrix_form_sse_step(psi, h, sigma, hbar, dt, dw)
+                got = u @ sse_step(u.conj().T @ psi, e, sigma, hbar, dt, dw)
+                assert np.max(np.abs(got - expected)) <= 1e-12
+        assert degenerate > 0
 
 
 class TestLindblad:

@@ -20,7 +20,7 @@ from reduction_lab import (
 )
 from reduction_lab.acceptance import random_instance
 from reduction_lab.errors import NonFiniteInput
-from reduction_lab.filtering import _normalize_log
+from reduction_lab.filtering import _normalize_log, level_cdf
 from reduction_lab.instances import three_level, two_level
 
 H2, RHO_A = two_level()
@@ -57,6 +57,20 @@ class TestSampleTerminalEnergy:
         model = FilterModel(HALF, SPEC2, 1.0)
         hits = sum(model.draw_level(rng) for _ in range(n))
         assert abs(hits / n - 0.5) <= 3 * np.sqrt(0.25 / n)
+
+    def test_largest_draw_lands_on_the_last_weighted_level(self):
+        # the weights (1, 4, 1, 1) / 7 sum to 0.9999999999999998, so an
+        # unclamped CDF sends the largest draw below 1 past the last level
+        class LargestDraw:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        spec = spectral_decompose(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
+        model = FilterModel(np.diag([1.0, 4.0, 1.0, 1.0]).astype(complex) / 7, spec, 1.0)
+        assert model.draw_level(LargestDraw()) == 3
+        assert model.draw_level(LargestDraw(), level_cdf((1, 4, 1, 1))) == 3
+        assert model.draw_level(LargestDraw(), level_cdf((1, 4, 1, 1, 0))) == 3
+        assert level_cdf((1, 4, 1, 1))[-1] == 1.0
 
     def test_three_level_frequencies_match_traces(self):
         rng = np.random.default_rng(2)
@@ -412,11 +426,11 @@ class TestCollapseStatistics:
 class TestDefaultHorizon:
     def test_two_level_reference_value(self):
         # max(50 / (sigma gap)^2, 10 / (sigma^2 V0)) = max(50, 40)
-        assert default_horizon(SPEC2, RHO_A, 1.0) == pytest.approx(50.0)
+        assert default_horizon(FilterModel(RHO_A, SPEC2, 1.0)) == pytest.approx(50.0)
 
     def test_degenerate_spectrum_falls_back(self):
         spec = spectral_decompose(np.zeros((2, 2), dtype=complex))
-        assert default_horizon(spec, HALF, 1.0) == 1.0
+        assert default_horizon(FilterModel(HALF, spec, 1.0)) == 1.0
 
 
 class TestClosedFormTrajectory:
