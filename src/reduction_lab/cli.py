@@ -72,7 +72,7 @@ def cmd_simulate(args) -> int:
     if cfg.mode != "closed-form":
         print(f"sde repairs: {sde.repairs} of {grid.n_steps} steps", file=sys.stderr)
 
-    out = _out_path(cfg, cfg.trajectory_file)
+    out = _out_path(cfg, "trajectory.csv")
     write_csv(out, trajectory_columns(traj, model.spec))
     print(f"wrote {out} ({grid.n_steps + 1} rows)")
     return 0
@@ -86,9 +86,9 @@ def cmd_ensemble(args) -> int:
     # stay out so reruns into different directories stay byte-identical
     echo = cfg.to_dict()
     echo.pop("output", None)
-    json_path = _out_path(cfg, cfg.summary_json_file)
+    json_path = _out_path(cfg, "summary.json")
     write_summary_json(json_path, summary, config_echo=echo)
-    csv_path = _out_path(cfg, cfg.summary_csv_file)
+    csv_path = _out_path(cfg, "summary.csv")
     write_csv(csv_path, summary_columns(summary))
 
     failed = [name for name, v in summary.checks.items() if not v.passed]
@@ -105,7 +105,7 @@ def cmd_ensemble(args) -> int:
 def cmd_lindblad(args) -> int:
     cfg = _load_config(args)
     model, grid = cfg.resolve()
-    out = _out_path(cfg, cfg.lindblad_file)
+    out = _out_path(cfg, "lindblad.csv")
     write_csv(out, lindblad_columns(model.mean_state(grid.times()), grid))
     print(f"wrote {out} ({grid.n_steps + 1} rows)")
     return 0

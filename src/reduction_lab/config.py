@@ -3,9 +3,11 @@
 The config is a JSON key/value tree. Complex matrices are encoded as
 paired row-major "real"/"imag" arrays (imag may be omitted when zero), so
 no complex-literal syntax has to be parsed. Unknown keys anywhere in the
-tree are rejected with the offending field path. parse_config only
-decodes; RunConfig's constructor is the one validator of run inputs, for
-the CLI and the library alike.
+tree are rejected with the offending field path. The hamiltonian is
+given as {"matrix": ...} and the output directory as {"dir": ...}; the
+file names inside it are fixed. parse_config only decodes; RunConfig's
+constructor checks every field on its own, and RunConfig.resolve(), the
+prologue of every command, checks what needs the levels or the grid.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TimeGrid
-from .errors import NotHermitian, ParseError, ReductionLabError, ValidationError
+from .errors import ParseError, ReductionLabError, ValidationError
 from .filtering import FilterModel, default_horizon
 from .instances import INSTANCES
 from .spectral import (
     DEFAULT_TOLS,
     ToleranceSet,
-    hermiticity_defect,
-    require_square,
+    _symmetrized,
     spectral_decompose,
     validate_density,
 )
@@ -41,19 +42,10 @@ MAX_GRID_POINTS = 1_000_001
 _TOP_KEYS = {
     "instance", "hamiltonian", "rho0", "sigma", "hbar", "grid", "n_paths",
     "seed", "mode", "checks", "check_times", "output", "tolerances",
-    "ci_multiplier", "drift_multiplier", "sampler_bias",
+    "drift_multiplier", "sampler_bias",
 }
-_HAM_KEYS = {"eigenvalues", "basis", "matrix"}
 _MATRIX_KEYS = {"real", "imag"}
 _GRID_KEYS = {"t_max", "dt"}
-# config key under "output" -> RunConfig field
-_OUTPUT_FIELDS = {
-    "dir": "output_dir",
-    "trajectory": "trajectory_file",
-    "summary_json": "summary_json_file",
-    "summary_csv": "summary_csv_file",
-    "lindblad": "lindblad_file",
-}
 _TOL_KEYS = {
     "hermiticity_tol", "trace_tol", "psd_tol", "degeneracy_tol", "luders_floor", "clamp_tol",
 }
@@ -154,12 +146,7 @@ class RunConfig:
     checks: tuple = ()
     check_times: tuple = ()
     output_dir: str = "."
-    trajectory_file: str = "trajectory.csv"
-    summary_json_file: str = "summary.json"
-    summary_csv_file: str = "summary.csv"
-    lindblad_file: str = "lindblad.csv"
     tolerances: ToleranceSet = DEFAULT_TOLS
-    ci_multiplier: float = 3.0
     drift_multiplier: float = 1.0
     sampler_bias: tuple | None = None
 
@@ -177,12 +164,9 @@ class RunConfig:
         store("tolerances", tols)
 
         try:
-            h = require_square(self.hamiltonian)
+            h = _symmetrized(self.hamiltonian, tols)
         except ReductionLabError as exc:
             raise ValidationError(f"hamiltonian: {exc}") from exc
-        defect = hermiticity_defect(h)
-        if defect > tols.hermiticity_tol:
-            raise NotHermitian(defect, tols.hermiticity_tol)
         if np.shape(self.rho0) != h.shape:
             raise ValidationError(
                 f"rho0: shape {np.shape(self.rho0)} does not match hamiltonian {h.shape}"
@@ -215,11 +199,8 @@ class RunConfig:
             )
         store("check_times", _nonnegative_tuple(self.check_times, "check_times", "list of times"))
 
-        for key, name in _OUTPUT_FIELDS.items():
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ValidationError(f"output.{key}: expected a nonempty string")
-        store("ci_multiplier", _positive(self.ci_multiplier, "ci_multiplier"))
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValidationError("output.dir: expected a nonempty string")
         store("drift_multiplier", _positive(self.drift_multiplier, "drift_multiplier"))
         if self.sampler_bias is not None:
             bias = _nonnegative_tuple(self.sampler_bias, "sampler_bias", "list of weights")
@@ -227,18 +208,28 @@ class RunConfig:
                 raise ValidationError("sampler_bias: expected at least one weight > 0")
             store("sampler_bias", bias)
 
-    def grid(self, t_max: float) -> TimeGrid:
-        check_grid_size(t_max, self.dt)
-        return TimeGrid.from_duration(t_max, self.dt)
-
     def resolve(self) -> tuple:
-        """(FilterModel, grid): the prologue of every run, with t_max = None
-        resolved to the collapse horizon."""
+        """(FilterModel, grid): the prologue of every command, with t_max =
+        None resolved to the collapse horizon. It checks the inputs that
+        need the levels or the grid, so every command rejects the same
+        configs."""
         rho0 = validate_density(self.rho0, self.tolerances)
         spec = spectral_decompose(self.hamiltonian, tols=self.tolerances)
         model = FilterModel(rho0, spec, self.sigma, self.hbar, self.tolerances)
         t_max = self.t_max if self.t_max is not None else default_horizon(model)
-        return model, self.grid(t_max)
+        check_grid_size(t_max, self.dt)
+        grid = TimeGrid.from_duration(t_max, self.dt)
+        if self.sampler_bias is not None and len(self.sampler_bias) != spec.d:
+            raise ValidationError(
+                f"sampler_bias has {len(self.sampler_bias)} weights for {spec.d} levels"
+            )
+        times = grid.times()
+        for want in self.check_times:
+            if np.min(np.abs(times - want)) > 1e-9 * max(1.0, abs(want)):
+                raise ValidationError(
+                    f"check time {want} is not on the output grid (dt={self.dt})"
+                )
+        return model, grid
 
     def to_dict(self) -> dict:
         out = {
@@ -252,8 +243,7 @@ class RunConfig:
             "mode": self.mode,
             "checks": list(self.checks),
             "check_times": list(self.check_times),
-            "output": {key: getattr(self, name) for key, name in _OUTPUT_FIELDS.items()},
-            "ci_multiplier": self.ci_multiplier,
+            "output": {"dir": self.output_dir},
             "drift_multiplier": self.drift_multiplier,
         }
         if self.sampler_bias is not None:
@@ -269,36 +259,6 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-def _parse_hamiltonian(node) -> np.ndarray:
-    _reject_unknown(node, _HAM_KEYS, "hamiltonian")
-    if "matrix" in node:
-        if "eigenvalues" in node or "basis" in node:
-            raise ValidationError(
-                "hamiltonian: give either 'matrix' or 'eigenvalues' (+ optional 'basis'), not both"
-            )
-        return _as_matrix(node["matrix"], "hamiltonian.matrix")
-    if "eigenvalues" not in node:
-        raise ValidationError("hamiltonian: need 'matrix' or 'eigenvalues'")
-    try:
-        values = np.asarray(node["eigenvalues"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"hamiltonian.eigenvalues: {exc}") from exc
-    if values.ndim != 1 or values.size == 0:
-        raise ValidationError("hamiltonian.eigenvalues: expected a nonempty 1-d array")
-    h = np.diag(values).astype(complex)
-    if "basis" in node:
-        u = _as_matrix(node["basis"], "hamiltonian.basis")
-        if u.shape[0] != values.size:
-            raise ValidationError(
-                f"hamiltonian.basis: {u.shape} incompatible with {values.size} eigenvalues"
-            )
-        gram = u.conj().T @ u
-        if np.max(np.abs(gram - np.eye(values.size))) > 1e-10:
-            raise ValidationError("hamiltonian.basis: matrix is not unitary")
-        h = u @ h @ u.conj().T
-    return h
 
 
 def parse_config(text: str) -> RunConfig:
@@ -327,7 +287,10 @@ def parse_config(text: str) -> RunConfig:
     else:
         if "hamiltonian" not in raw or "rho0" not in raw:
             raise ValidationError("config: need 'instance' or both 'hamiltonian' and 'rho0'")
-        cfg["hamiltonian"] = _parse_hamiltonian(raw["hamiltonian"])
+        _reject_unknown(raw["hamiltonian"], {"matrix"}, "hamiltonian")
+        if "matrix" not in raw["hamiltonian"]:
+            raise ValidationError("hamiltonian: missing 'matrix'")
+        cfg["hamiltonian"] = _as_matrix(raw["hamiltonian"]["matrix"], "hamiltonian.matrix")
         cfg["rho0"] = _as_matrix(raw["rho0"], "rho0")
 
     if "tolerances" in raw:
@@ -337,6 +300,7 @@ def parse_config(text: str) -> RunConfig:
         _reject_unknown(raw["grid"], _GRID_KEYS, "grid")
         cfg.update(raw["grid"])
     if "output" in raw:
-        _reject_unknown(raw["output"], set(_OUTPUT_FIELDS), "output")
-        cfg.update({_OUTPUT_FIELDS[key]: value for key, value in raw["output"].items()})
+        _reject_unknown(raw["output"], {"dir"}, "output")
+        if "dir" in raw["output"]:
+            cfg["output_dir"] = raw["output"]["dir"]
     return RunConfig(**cfg)

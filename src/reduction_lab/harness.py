@@ -21,7 +21,7 @@ with n_paths x T, and neither BLOCK, TILE nor the thread count changes a
 bit of the output.
 
 Every analytic claim about the dynamics gets a named check with a
-pass/fail verdict at ci_multiplier standard errors. The config carries two
+pass/fail verdict at CI_MULTIPLIER standard errors. The config carries two
 deliberate corruption fixtures (drift_multiplier, sampler_bias) so the
 test suite can prove the checks fail when the dynamics are wrong.
 """
@@ -37,13 +37,14 @@ import numpy as np
 
 from .config import CHECK_NAMES, RunConfig  # noqa: F401  (harness.CHECK_NAMES stays public)
 from .dynamics import variance_bound
-from .errors import ReductionLabError, ValidationError
+from .errors import ReductionLabError
 from .filtering import FilterModel, level_cdf
 from .spectral import hermitian_part
 
 CHUNK = 512          # fixed so that chunking never depends on thread count
 BLOCK = 1024         # time points per noise block: one generator call per path
 TILE = 64            # time points per filter tile: 64 measured fastest of 8-256
+CI_MULTIPLIER = 3.0  # a check passes within this many standard errors
 
 
 @dataclass(frozen=True)
@@ -251,19 +252,10 @@ def run_ensemble(cfg: RunConfig) -> EnsembleSummary:
     spec = model.spec
     times = grid.times()
     n = cfg.n_paths
-    if cfg.sampler_bias is not None and len(cfg.sampler_bias) != spec.d:
-        raise ValidationError(
-            f"sampler_bias has {len(cfg.sampler_bias)} weights for {spec.d} levels"
-        )
-
+    # resolve() has checked that every check time is on the grid
     check_idx = np.array(
         [int(np.argmin(np.abs(times - t))) for t in cfg.check_times], dtype=int
     )
-    for want, got in zip(cfg.check_times, check_idx):
-        if abs(times[got] - want) > 1e-9 * max(1.0, abs(want)):
-            raise ValidationError(
-                f"check time {want} is not on the output grid (dt={cfg.dt})"
-            )
 
     def chunk(bounds):
         lo, hi = bounds
@@ -397,8 +389,7 @@ def _z_exceedance(mean, se, target):
 
 def check_born(summary: EnsembleSummary) -> Verdict:
     """Terminal-level frequencies against p_r = tr(rho_0 P_r), within
-    ci * binomial standard error per level."""
-    cfg = summary.config
+    CI_MULTIPLIER binomial standard errors per level."""
     n = summary.n_paths
     p = summary.model.p
     freq = summary.born_freqs
@@ -406,9 +397,9 @@ def check_born(summary: EnsembleSummary) -> Verdict:
     z = _z_exceedance(freq, binom_se, p)
     return Verdict(
         name="born",
-        passed=z <= cfg.ci_multiplier,
+        passed=z <= CI_MULTIPLIER,
         statistic=z,
-        threshold=cfg.ci_multiplier,
+        threshold=CI_MULTIPLIER,
         details={
             "frequencies": freq.tolist(),
             "expected": p.tolist(),
@@ -429,8 +420,7 @@ def _phi_window(summary: EnsembleSummary, pair_slot: int) -> np.ndarray:
 def check_martingales(summary: EnsembleSummary) -> Verdict:
     """Constancy of the conserved means: E[H_t] = H_0, E[pi_r(t)] = p_r,
     E[Pi_nm(t)] = 1; plus the one-sided supermartingale step test on V."""
-    cfg = summary.config
-    ci = cfg.ci_multiplier
+    ci = CI_MULTIPLIER
     model = summary.model
     z_h = _z_exceedance(summary.h_series.mean, summary.h_series.se, model.h0)
     z_pi = _z_exceedance(summary.pi_series.mean, summary.pi_series.se, model.p)
@@ -475,10 +465,9 @@ def check_variance_decay(summary: EnsembleSummary) -> Verdict:
     point, terminal mean V below 1e-6 * (E_D - E_1)^2, and (when check
     times were recorded) entrywise agreement of the mean state with the
     exact mean state, sum_n p_n L_n + sum_{n != m} R_nm(0) phase decay."""
-    cfg = summary.config
-    ci = cfg.ci_multiplier
+    ci = CI_MULTIPLIER
     model = summary.model
-    bound = variance_bound(model.v0, cfg.sigma, summary.times)
+    bound = variance_bound(model.v0, model.sigma, summary.times)
     margin = summary.v_series.mean - (bound + ci * np.where(np.isnan(summary.v_series.se), 0.0, summary.v_series.se))
     worst_margin = float(np.max(margin))
 

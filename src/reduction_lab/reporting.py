@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .harness import EnsembleSummary
+from .harness import CI_MULTIPLIER, EnsembleSummary
 from .spectral import SpectralDecomposition
 
 
@@ -113,7 +113,7 @@ def summary_report(summary: EnsembleSummary, config_echo: dict | None = None) ->
         "config": _sanitize(config_echo) if config_echo else None,
         "base_seed": summary.config.seed,
         "n_paths": summary.n_paths,
-        "ci_multiplier": summary.config.ci_multiplier,
+        "ci_multiplier": CI_MULTIPLIER,
         "thresholds_are_artifact_choices": True,
         "stderr_defined": summary.stderr_defined,
         "levels": {

@@ -205,6 +205,23 @@ class TestOverrideValidation:
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+class TestLevelAndGridChecks:
+    # every command runs the same prologue, so each rejects these configs
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "lindblad"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("sampler_bias", [1, 1, 1], "sampler_bias has 3 weights for 2 levels"),
+        ("check_times", [0.55], "check time 0.55 is not on the output grid"),
+    ], ids=["sampler_bias", "check_times"])
+    def test_config_rejected_by_every_command(self, tmp_path, capsys, command,
+                                              field, value, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"instance": "two_level", field: value,
+                                    "grid": {"t_max": 1, "dt": 0.1}}))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestLindblad:
     def test_mean_state_csv(self, tmp_path):
         cfg = write_config(tmp_path)

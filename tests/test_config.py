@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -60,25 +61,13 @@ class TestParsing:
         cfg = parse_config(text)
         assert cfg.rho0[0, 1] == -0.25j
 
-    def test_eigenvalues_with_basis(self):
-        u = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        text = json.dumps({
-            "hamiltonian": {"eigenvalues": [0.0, 1.0],
-                            "basis": {"real": u.tolist()}},
-            "rho0": {"real": [[0.5, 0], [0, 0.5]]},
-        })
-        cfg = parse_config(text)
-        expected = u @ np.diag([0.0, 1.0]) @ u.T
-        assert np.allclose(cfg.hamiltonian, expected)
-
-    def test_non_unitary_basis_rejected(self):
-        text = json.dumps({
-            "hamiltonian": {"eigenvalues": [0.0, 1.0],
-                            "basis": {"real": [[1, 1], [0, 1]]}},
-            "rho0": {"real": [[0.5, 0], [0, 0.5]]},
-        })
-        with pytest.raises(ValidationError, match="basis"):
-            parse_config(text)
+    def test_run_config_fields(self):
+        # a new setting has to be added here as well
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "hamiltonian", "rho0", "sigma", "hbar", "dt", "t_max", "n_paths",
+            "seed", "mode", "checks", "check_times", "output_dir", "tolerances",
+            "drift_multiplier", "sampler_bias",
+        ]
 
 
 class TestRejection:
@@ -94,6 +83,18 @@ class TestRejection:
         with pytest.raises(ValidationError, match="grid"):
             parse_config('{"instance": "two_level", "grid": {"dt": 0.1, "step": 3}}')
 
+    @pytest.mark.parametrize("config, message", [
+        ({"instance": "two_level", "ci_multiplier": 3.0},
+         r"config: unknown keys \['ci_multiplier'\]"),
+        ({"instance": "two_level", "output": {"dir": "out", "trajectory": "t.csv"}},
+         r"output: unknown keys \['trajectory'\]"),
+        ({"hamiltonian": {"eigenvalues": [0.0, 1.0]}, "rho0": {"real": [[0.5, 0], [0, 0.5]]}},
+         r"hamiltonian: unknown keys \['eigenvalues'\]"),
+    ], ids=["ci_multiplier", "output.trajectory", "hamiltonian.eigenvalues"])
+    def test_removed_setting_rejected(self, config, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_config(json.dumps(config))
+
     def test_negative_dt(self):
         with pytest.raises(ValidationError, match="grid.dt"):
             parse_config('{"instance": "two_level", "grid": {"dt": -0.1}}')
@@ -103,9 +104,10 @@ class TestRejection:
             "hamiltonian": {"matrix": {"real": [[0, 1], [0, 0]]}},
             "rho0": {"real": [[0.5, 0], [0, 0.5]]},
         })
-        with pytest.raises(NotHermitian) as info:
+        with pytest.raises(ValidationError, match="hamiltonian") as info:
             parse_config(text)
-        assert info.value.deviation == pytest.approx(1.0)
+        assert isinstance(info.value.__cause__, NotHermitian)
+        assert info.value.__cause__.deviation == pytest.approx(1.0)
 
     def test_shape_mismatch(self):
         text = json.dumps({
@@ -139,17 +141,18 @@ class TestRejection:
         # no t_max: a gap of 0.01 makes the collapse horizon 5e5, which is
         # 5e8 steps at the default dt
         cfg = parse_config(json.dumps({
-            "hamiltonian": {"eigenvalues": [0.0, 0.01]},
+            "hamiltonian": {"matrix": {"real": [[0.0, 0.0], [0.0, 0.01]]}},
             "rho0": {"real": [[0.5, 0.5], [0.5, 0.5]]},
         }))
         horizon = default_horizon(FilterModel(cfg.rho0, spectral_decompose(cfg.hamiltonian), cfg.sigma))
         assert horizon / cfg.dt == pytest.approx(5e8)
         with pytest.raises(ValidationError, match="grid.t_max / grid.dt"):
-            cfg.grid(horizon)
+            cfg.resolve()
 
     def test_largest_grid_accepted(self):
         cfg = parse_config('{"instance": "two_level", "grid": {"t_max": 1000, "dt": 1e-3}}')
-        assert cfg.grid(cfg.t_max).n_steps + 1 == MAX_GRID_POINTS
+        _, grid = cfg.resolve()
+        assert grid.n_steps + 1 == MAX_GRID_POINTS
 
     def test_all_zero_sampler_bias_rejected(self):
         with pytest.raises(ValidationError, match="sampler_bias"):
@@ -157,7 +160,6 @@ class TestRejection:
 
     @pytest.mark.parametrize("fragment, field", [
         ('"sigma": NaN', "sigma"),
-        ('"ci_multiplier": NaN', "ci_multiplier"),
         ('"hbar": Infinity', "hbar"),
         ('"sigma": 1e999', "sigma"),
         pytest.param('"hbar": 1%s' % ("0" * 400), "hbar", id="hbar-beyond-float-range"),
@@ -184,7 +186,7 @@ class TestRejection:
         text = json.dumps({
             "instance": "two_level",
             "rho0": {"real": [[1.0, 0], [0, 0.0]]},
-            "hamiltonian": {"eigenvalues": [0, 1]},
+            "hamiltonian": {"matrix": {"real": [[0, 0], [0, 1]]}},
         })
         with pytest.raises(ValidationError, match="instance"):
             parse_config(text)
@@ -216,7 +218,7 @@ class TestRoundTrip:
         assert np.array_equal(cfg.hamiltonian, again.hamiltonian)
         assert np.array_equal(cfg.rho0, again.rho0)
         for name in ("sigma", "hbar", "dt", "t_max", "n_paths", "seed", "mode",
-                     "checks", "check_times", "ci_multiplier", "output_dir",
+                     "checks", "check_times", "output_dir",
                      "drift_multiplier", "sampler_bias"):
             assert getattr(cfg, name) == getattr(again, name), name
         assert cfg.tolerances == again.tolerances

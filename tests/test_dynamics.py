@@ -323,10 +323,13 @@ class TestSseStep:
         assert abs(np.vdot(out, psi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_sigma_zero_norm_drift_second_order(self):
+        # with sigma = 0 the noise drops out and the renormalized Euler step
+        # follows the unitary evolution to second order in dt
         psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         for dt in (1e-2, 1e-3):
-            raw = psi - 1j * dt * (H2 @ psi)
-            assert abs(np.linalg.norm(raw) - 1.0) < dt**2
+            out = sse_step(psi, E2, 0.0, 1.0, dt, 0.0)
+            assert np.array_equal(out, sse_step(psi, E2, 0.0, 1.0, dt, 0.3))
+            assert np.max(np.abs(out - np.exp(-1j * E2 * dt) * psi)) < dt**2
 
     @pytest.mark.parametrize("dt_pair", [(4e-3, 2e-3), (2e-3, 1e-3)])
     def test_projected_step_matches_master_equation_on_average(self, dt_pair):

@@ -59,7 +59,7 @@ class TestConfigValidation:
         ("seed", -1, "seed"),
         ("seed", True, "seed"),
         ("n_paths", True, "n_paths"),
-        ("ci_multiplier", float("nan"), "ci_multiplier"),
+        ("output_dir", "", "output.dir"),
         ("check_times", (float("nan"),), "check_times"),
         ("sampler_bias", (-1.0, 2.0), "sampler_bias"),
         ("rho0", 2.0 * RHO_A, "rho0"),
@@ -300,7 +300,7 @@ class TestTimeBlocks:
             hamiltonian=H3, rho0=RHO_B, t_max=100.0, dt=1e-3,
             n_paths=128, seed=1, checks=(),
         )
-        assert len(cfg.grid(cfg.t_max).times()) == 100_001
+        assert len(cfg.resolve()[1].times()) == 100_001
         tracemalloc.start()
         try:
             run_ensemble(cfg)
