@@ -140,7 +140,7 @@ def criterion_oracle_equivalence() -> CriterionResult:
 
     # one path at dt and at dt / 2, the coarse increments summed from the fine
     rng = np.random.default_rng(SEED_ORACLE)
-    level = model.draw_level(rng)
+    level = model.draw_level(rng.random())
     fine = TimeGrid.from_duration(t_max, dt / 2.0)
     dw_fine = sample_noise(fine, rng)
     coarse = NoisePath(increments=dw_fine.increments.reshape(-1, 2).sum(axis=1))
@@ -317,7 +317,7 @@ def random_instance(rng: np.random.Generator):
     hbar = float(rng.uniform(0.5, 2.0))
     t = float(rng.uniform(0.0, 5.0))
     spec = spectral_decompose(h)
-    level = FilterModel(rho0, spec, sigma).draw_level(rng)
+    level = FilterModel(rho0, spec, sigma).draw_level(rng.random())
     xi = sigma * float(spec.energies[level]) * t + float(rng.standard_normal()) * np.sqrt(max(t, 1e-12))
     return h, rho0, spec, sigma, hbar, t, xi
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import acceptance
 from .config import MODES, RunConfig, parse_config
 from .dynamics import sample_noise, simulate_sme
 from .errors import ReductionLabError
 from .filtering import closed_form_trajectory, make_information_path, sde_gap
-from .harness import path_rng, run_ensemble
+from .harness import path_rngs, run_ensemble
 from .reporting import (
     lindblad_columns,
     summary_columns,
@@ -36,14 +35,13 @@ from .reporting import (
 def _load_config(args) -> RunConfig:
     if not args.config:
         raise ReductionLabError("--config PATH is required for this command")
-    with open(args.config) as handle:
-        cfg = parse_config(handle.read())
-    # replace() runs RunConfig's validator over the overridden fields
     overrides = {"seed": args.seed, "n_paths": args.paths, "output_dir": args.out,
                  "mode": getattr(args, "mode", None)}
     if getattr(args, "checks", None):
         overrides["checks"] = [n.strip() for n in args.checks.split(",") if n.strip()]
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    with open(args.config) as handle:
+        return parse_config(handle.read(),
+                            **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -55,7 +53,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     model, grid = cfg.resolve()
     # the trajectory is path 0 of an ensemble with the same seed
-    rng = path_rng(cfg.seed, 0)
+    rng = path_rngs(cfg.seed, 0, 1)[0]
 
     if cfg.mode == "sde":
         traj = sde = simulate_sme(
@@ -63,7 +61,7 @@ def cmd_simulate(args) -> int:
             cfg.tolerances,
         )
     else:
-        level = model.draw_level(rng)
+        level = model.draw_level(rng.random())
         path = make_information_path(level, model.spec, cfg.sigma, grid, sample_noise(grid, rng))
         traj = closed_form_trajectory(model, path)
         if cfg.mode == "both":

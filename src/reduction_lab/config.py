@@ -39,6 +39,10 @@ CHECK_NAMES = ("born", "martingales", "variance_decay", "decoherence", "luders")
 # past this is rejected before anything is allocated for it.
 MAX_GRID_POINTS = 1_000_001
 
+# Path i is seeded from the one 32-bit spawn-key word i, so an ensemble has
+# at most 2**32 paths.
+MAX_PATHS = 2**32
+
 _TOP_KEYS = {
     "instance", "hamiltonian", "rho0", "sigma", "hbar", "grid", "n_paths",
     "seed", "mode", "checks", "check_times", "output", "tolerances",
@@ -152,7 +156,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Check every field; every failure names it. Numbers are stored
-        as floats and lists as tuples, while rho0 is kept as given."""
+        as floats and lists as tuples, while rho0 is kept as given and its
+        validated density matrix is kept for resolve()."""
         def store(name, value):
             object.__setattr__(self, name, value)
 
@@ -172,7 +177,7 @@ class RunConfig:
                 f"rho0: shape {np.shape(self.rho0)} does not match hamiltonian {h.shape}"
             )
         try:
-            validate_density(self.rho0, tols)
+            store("_density", validate_density(self.rho0, tols))
         except ReductionLabError as exc:
             raise ValidationError(f"rho0: {exc}") from exc
 
@@ -183,6 +188,8 @@ class RunConfig:
             store("t_max", _positive(self.t_max, "grid.t_max"))
             check_grid_size(self.t_max, self.dt)
         _integer(self.n_paths, "n_paths", 1, "a positive integer")
+        if self.n_paths > MAX_PATHS:
+            raise ValidationError(f"n_paths: at most {MAX_PATHS} paths, got {self.n_paths}")
         _integer(self.seed, "seed", 0, "a nonnegative integer")
         if self.mode not in MODES:
             raise ValidationError(f"mode: expected one of {MODES}, got {self.mode!r}")
@@ -213,9 +220,8 @@ class RunConfig:
         None resolved to the collapse horizon. It checks the inputs that
         need the levels or the grid, so every command rejects the same
         configs."""
-        rho0 = validate_density(self.rho0, self.tolerances)
         spec = spectral_decompose(self.hamiltonian, tols=self.tolerances)
-        model = FilterModel(rho0, spec, self.sigma, self.hbar, self.tolerances)
+        model = FilterModel(self._density, spec, self.sigma, self.hbar, self.tolerances)
         t_max = self.t_max if self.t_max is not None else default_horizon(model)
         check_grid_size(t_max, self.dt)
         grid = TimeGrid.from_duration(t_max, self.dt)
@@ -261,9 +267,10 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, **overrides) -> RunConfig:
     """Decode config text into a RunConfig, which validates it; every
-    failure names the field."""
+    failure names the field. overrides replace RunConfig fields of the
+    text before the one validation."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -303,4 +310,5 @@ def parse_config(text: str) -> RunConfig:
         _reject_unknown(raw["output"], {"dir"}, "output")
         if "dir" in raw["output"]:
             cfg["output_dir"] = raw["output"]["dir"]
+    cfg.update(overrides)
     return RunConfig(**cfg)

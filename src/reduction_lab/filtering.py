@@ -341,10 +341,11 @@ class FilterModel:
         ) if self.pairs else np.zeros((0,) + self.rho0.shape, dtype=complex)
         self.r0_norm = np.array([frobenius_norm(b) for b in self.r0])
 
-    def draw_level(self, rng: np.random.Generator, cdf=None) -> int:
-        """Draw the signal level from level_cdf, or from cdf if given."""
+    def draw_level(self, u, cdf=None):
+        """The signal level(s) of uniform draw(s) u in [0, 1), from level_cdf
+        or from cdf if given: an index, or an index array shaped like u."""
         cdf = self.level_cdf if cdf is None else cdf
-        return int(cdf.searchsorted(rng.random(), side="right"))
+        return cdf.searchsorted(u, side="right")
 
     def posterior(self, t, xi, out=None):
         """(pi, log normalizer). pi is a level-last view of a levels-first

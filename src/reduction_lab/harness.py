@@ -2,12 +2,13 @@
 
 Paths are simulated with the closed-form filtering solution, which is exact
 at every grid time, so the output grid spacing controls reporting
-resolution only, not accuracy. Each path has its own counter-based RNG
-stream derived from (seed, path index) by path_rng, which also seeds
-the one trajectory of `simulate` as path 0; paths are processed in
-fixed-size chunks whose partial sums are reduced in chunk order, so the
-summary is bitwise identical for a fixed seed regardless of how many
-worker threads are used (REDUCTION_LAB_THREADS caps the pool).
+resolution only, not accuracy. Path i draws from its own PCG64 stream,
+numpy's default_rng(SeedSequence(seed, spawn_key=(i,))) bit for bit, and
+path_rngs seeds a whole chunk of them in one vectorized pass; path 0 is
+also the one trajectory of `simulate`. Paths are processed in fixed-size
+chunks whose partial sums are reduced in chunk order, so the summary is
+bitwise identical for a fixed seed regardless of how many worker threads
+are used (REDUCTION_LAB_THREADS caps the pool).
 
 Each chunk draws its noise in blocks of BLOCK time points and evaluates
 the filter on tiles of TILE points: one (K, CHUNK, TILE) buffer holds
@@ -94,12 +95,82 @@ def _se_from_sums(total, total_sq, n):
     return np.sqrt(var / n)
 
 
-def path_rng(base_seed: int, index: int) -> np.random.Generator:
-    """The generator of path index: the ensemble's paths, and path 0 for a
-    single simulated trajectory."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
-    )
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output
+# numpy's stream-compatibility policy covers
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, 4) uint64: row j is SeedSequence(entropy=seed,
+    spawn_key=(lo + j,)).generate_state(4, np.uint64).
+
+    The hash constants evolve the same way for every path, so each hash
+    step is one elementwise uint32 op over the whole range. The path index
+    is the last entropy word and the only one that differs, which holds for
+    indices below 2**32 (one spawn-key word).
+    """
+    # the seed's 32-bit words, low first (0 is one word), zero-padded to the
+    # pool size as numpy pads run entropy that comes with a spawn key
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    # (1,) arrays, not numpy scalars: array arithmetic wraps mod 2**32
+    # without an overflow warning, and broadcasts against the path indices
+    entropy = [np.full(1, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(lo, hi, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty((hi - lo, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def path_rngs(seed: int, lo: int, hi: int) -> list:
+    """The generators of paths [lo, hi), path i's being
+    default_rng(SeedSequence(seed, spawn_key=(i,))) bit for bit. A
+    simulated trajectory is path 0."""
+    # imported here, so that importing the CLI does not load numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        """Hands PCG64 one precomputed generate_state(4, np.uint64) row."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return [np.random.Generator(np.random.PCG64(SeedState(row)))
+            for row in _seed_states(seed, lo, hi)]
 
 
 def _fold(parts, n_paths: int) -> dict:
@@ -155,12 +226,8 @@ def _run_chunk(cfg: RunConfig, model: FilterModel, times, check_idx, lo, hi):
     sqrt_dt = np.sqrt(cfg.dt)
     cdf = None if cfg.sampler_bias is None else level_cdf(cfg.sampler_bias)
 
-    levels = np.empty(c, dtype=np.int64)
-    rngs = []
-    for j in range(c):
-        rng = path_rng(cfg.seed, lo + j)
-        levels[j] = model.draw_level(rng, cdf)
-        rngs.append(rng)
+    rngs = path_rngs(cfg.seed, lo, hi)
+    levels = model.draw_level(np.array([rng.random() for rng in rngs]), cdf)
     drift = cfg.drift_multiplier * cfg.sigma * model.energies[levels]
 
     # rows: H, V, purity, pi_1..D, Phi per pair, their k squares, V_{i-1} V_i
@@ -524,7 +591,7 @@ def check_decoherence(summary: EnsembleSummary) -> Verdict:
         y = np.log(summary.phi_series.mean[window, slot])
         slope = float(np.polyfit(t, y, 1)[0])
         # sigma = 0 turns the claim into "no decay at all"; compare absolutely
-        rel = abs(slope - expected) / abs(expected) if expected != 0 else abs(slope)
+        rel = float(abs(slope - expected) / abs(expected) if expected != 0 else abs(slope))
         worst = max(worst, rel)
         ok = ok and rel <= 0.10
         slopes[f"{n + 1}-{m + 1}"] = {

@@ -1,9 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from reduction_lab import cli, run_ensemble
+from reduction_lab import cli, config, run_ensemble
 from reduction_lab.config import parse_config
 from reduction_lab.reporting import summary_report
 
@@ -203,6 +204,28 @@ class TestOverrideValidation:
         assert cli.main(["ensemble", "--config", cfg, "--out", str(tmp_path),
                          flag, value]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ["--mode", "both"]),
+        ("ensemble", ["--checks", "born"]),
+        ("lindblad", []),
+    ])
+    def test_rho0_is_validated_once(self, tmp_path, command, extra):
+        # the overrides go into the one RunConfig, whose validated rho0
+        # resolve() reuses; the echo keeps rho0 as given, not renormalized
+        path = write_config(tmp_path, instance=None,
+                            hamiltonian={"matrix": {"real": [[0, 0], [0, 1]]}},
+                            rho0={"real": [[0.5, 0.0], [0.0, 0.500000000001]]})
+        with mock.patch.object(config, "validate_density",
+                               wraps=config.validate_density) as validate:
+            assert cli.main([command, "--config", path, "--out", str(tmp_path),
+                             "--seed", "4", "--paths", "100", *extra]) == 0
+        assert validate.call_count == 1
+        if command == "ensemble":
+            echo = json.loads((tmp_path / "summary.json").read_text())["config"]
+            assert (echo["seed"], echo["n_paths"], echo["checks"]) == (4, 100, ["born"])
+            assert echo["rho0"] == {"real": [[0.5, 0.0], [0.0, 0.500000000001]]}
 
 
 class TestLevelAndGridChecks:

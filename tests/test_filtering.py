@@ -42,34 +42,31 @@ class TestSampleTerminalEnergy:
         rho0 = np.diag([0.0, 1.0, 0.0]).astype(complex)
         rng = np.random.default_rng(0)
         model = FilterModel(rho0, SPEC3, 1.0)
-        assert all(model.draw_level(rng) == 1 for _ in range(200))
+        assert all(model.draw_level(rng.random()) == 1 for _ in range(200))
+        assert np.all(model.draw_level(rng.random(200)) == 1)
 
     def test_weightless_state_rejected(self):
         from reduction_lab.errors import DegenerateDistribution
 
         with pytest.raises(DegenerateDistribution):
-            FilterModel(np.zeros((3, 3), dtype=complex), SPEC3, 1.0).draw_level(
-                np.random.default_rng(0))
+            FilterModel(np.zeros((3, 3), dtype=complex), SPEC3, 1.0).draw_level(0.5)
 
     def test_symmetric_two_level_frequencies(self):
         rng = np.random.default_rng(1)
         n = 10_000
         model = FilterModel(HALF, SPEC2, 1.0)
-        hits = sum(model.draw_level(rng) for _ in range(n))
+        hits = sum(model.draw_level(rng.random()) for _ in range(n))
         assert abs(hits / n - 0.5) <= 3 * np.sqrt(0.25 / n)
 
     def test_largest_draw_lands_on_the_last_weighted_level(self):
         # the weights (1, 4, 1, 1) / 7 sum to 0.9999999999999998, so an
         # unclamped CDF sends the largest draw below 1 past the last level
-        class LargestDraw:
-            def random(self):
-                return np.nextafter(1.0, 0.0)
-
+        largest = np.nextafter(1.0, 0.0)
         spec = spectral_decompose(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
         model = FilterModel(np.diag([1.0, 4.0, 1.0, 1.0]).astype(complex) / 7, spec, 1.0)
-        assert model.draw_level(LargestDraw()) == 3
-        assert model.draw_level(LargestDraw(), level_cdf((1, 4, 1, 1))) == 3
-        assert model.draw_level(LargestDraw(), level_cdf((1, 4, 1, 1, 0))) == 3
+        assert model.draw_level(largest) == 3
+        assert model.draw_level(largest, level_cdf((1, 4, 1, 1))) == 3
+        assert model.draw_level(largest, level_cdf((1, 4, 1, 1, 0))) == 3
         assert level_cdf((1, 4, 1, 1))[-1] == 1.0
 
     def test_three_level_frequencies_match_traces(self):
@@ -77,7 +74,7 @@ class TestSampleTerminalEnergy:
         n = 10_000
         p = SPEC3.level_probabilities(RHO_B)      # (0.25, 0.25, 0.5) by trace
         model = FilterModel(RHO_B, SPEC3, 1.0)
-        counts = np.bincount([model.draw_level(rng) for _ in range(n)], minlength=3)
+        counts = np.bincount(model.draw_level(rng.random(n)), minlength=3)
         for r in range(3):
             assert abs(counts[r] / n - p[r]) <= 3 * np.sqrt(p[r] * (1 - p[r]) / n)
 
@@ -263,7 +260,7 @@ class TestRecoveredBrownian:
         terminals = np.empty(n)
         lag_products = []
         for i in range(n):
-            level = model.draw_level(rng)
+            level = model.draw_level(rng.random())
             path = make_information_path(level, SPEC2, 1.0, grid, sample_noise(grid, rng))
             w = recovered_brownian(path, HALF, SPEC2, 1.0)
             terminals[i] = w[-1]

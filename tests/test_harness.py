@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 
 from reduction_lab import RunConfig, TimeGrid, harness, run_ensemble
 from reduction_lab.errors import ValidationError
-from reduction_lab.harness import CHECK_NAMES, thread_count
+from reduction_lab.harness import CHECK_NAMES, CHECKS, path_rngs, thread_count
 from reduction_lab.reporting import summary_columns, summary_report
 from reduction_lab.instances import degenerate, three_level, two_level
 
@@ -54,6 +55,12 @@ class TestConfigValidation:
     def test_all_zero_sampler_bias_rejected(self):
         with pytest.raises(ValidationError, match="sampler_bias"):
             small_config(checks=("born",), sampler_bias=(0.0, 0.0))
+
+    def test_path_count_fits_one_spawn_key_word(self):
+        # path i is seeded from the one 32-bit word i, so 2**32 paths fit
+        assert small_config(checks=(), n_paths=2**32).n_paths == 2**32
+        with pytest.raises(ValidationError, match="n_paths"):
+            small_config(checks=(), n_paths=2**32 + 1)
 
     @pytest.mark.parametrize("field, value, named", [
         ("seed", -1, "seed"),
@@ -194,6 +201,14 @@ class TestNegativeControls:
         assert not summary.checks["decoherence"].passed
         assert all(type(v.passed) is bool for v in summary.checks.values())
 
+    def test_every_check_returns_python_scalars(self):
+        # check_decoherence once returned its statistic as np.float64
+        summary = run_ensemble(small_config(checks=CHECK_NAMES))
+        assert set(summary.checks) == set(CHECKS)
+        for name, verdict in summary.checks.items():
+            assert type(verdict.statistic) is float, name
+            assert type(verdict.passed) is bool, name
+
     def test_biased_sampler_still_normalizes_frequencies(self):
         cfg = small_config(checks=("born",), sampler_bias=(0.9, 0.1))
         summary = run_ensemble(cfg)
@@ -242,6 +257,69 @@ class TestDeterminism:
             with mock.patch.dict(os.environ, {"REDUCTION_LAB_THREADS": raw}):
                 assert thread_count() == 1
             assert "REDUCTION_LAB_THREADS" in capsys.readouterr().err, raw
+
+
+def _reference_rngs(seed, lo, hi):
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            for i in range(lo, hi)]
+
+
+def _assert_identical(a, b, where="summary"):
+    """Every array, number and string of a and b, walked through their
+    dataclass fields, dicts and lists, is equal bit for bit."""
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            if f.name not in ("config", "model"):
+                _assert_identical(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_identical(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for item_a, item_b in zip(a, b):
+            _assert_identical(item_a, item_b, where)
+    elif isinstance(a, (str, bool)):
+        assert a == b, where
+    else:
+        assert np.array_equal(a, b, equal_nan=True), where
+
+
+class TestPathSeeding:
+    """path_rngs seeds a chunk's generators in one vectorized pass; each is
+    numpy's default_rng(SeedSequence(seed, spawn_key=(i,))) bit for bit."""
+
+    SEEDS = (0, 1, 6, 777, 90210, 2**32 - 1, 2**32, 2**63 + 5, 2**100 + 3, 2**127,
+             2**200 + 17)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("lo, hi", [(0, 600), (511, 515), (2**32 - 3, 2**32)])
+    def test_streams_match_numpy(self, seed, lo, hi):
+        states = harness._seed_states(seed, lo, hi)
+        for j, i in enumerate(range(lo, hi)):
+            expected = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+            assert np.array_equal(states[j], expected), i
+        picks = sorted({lo, lo + 1, hi - 2, hi - 1})
+        ours = path_rngs(seed, lo, hi)
+        for i in picks:
+            ref = _reference_rngs(seed, i, i + 1)[0]
+            rng = ours[i - lo]
+            assert rng.bit_generator.state == ref.bit_generator.state, i
+            assert rng.random() == ref.random(), i
+            assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7)), i
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("bias", [None, (0.7, 0.2, 0.1)])
+    def test_ensemble_matches_per_path_seeding(self, monkeypatch, threads, bias):
+        # 1100 paths are three chunks, the last one short
+        cfg = RunConfig(hamiltonian=H3, rho0=RHO_B, t_max=3.2, dt=0.1, n_paths=1100,
+                        seed=6, checks=CHECK_NAMES, check_times=(0.5, 3.2),
+                        sampler_bias=bias)
+        assert -(-cfg.n_paths // harness.CHUNK) == 3
+        monkeypatch.setenv("REDUCTION_LAB_THREADS", threads)
+        ours = run_ensemble(cfg)
+        monkeypatch.setattr(harness, "path_rngs", _reference_rngs)
+        _assert_identical(ours, run_ensemble(cfg))
 
 
 def _summary_bytes(summary):
