@@ -6,10 +6,10 @@ Reference instances (natural units, sigma = hbar = 1):
   B: three_level    H = diag(0, 1, 2), weights (1/4, 1/4, 1/2) + coherences
   C: degenerate     H = diag(0, 0, 1), weights (0.3, 0.3, 0.4) + coherence
 
-Each criterion returns a record with the measured statistic, its
-threshold, and the wall-clock cost; run_all() executes all ten. Ensembles
-are shared where several criteria read the same run, and the run that
-pays the simulation cost carries the runtime budget.
+Each criterion returns a record with the measured statistic and its
+threshold; run_all() executes all ten and times each one. Ensembles are
+shared where several criteria read the same run, and the first criterion
+to read a run is charged its cost.
 """
 
 from __future__ import annotations
@@ -60,18 +60,17 @@ class CriterionResult:
     passed: bool
     measured: str
     threshold: str
-    runtime_s: float
     details: dict = field(default_factory=dict)
+    runtime_s: float = 0.0      # set by run_all
 
 
-def _result(number, claim, passed, measured, threshold, started, **details):
+def _result(number, claim, passed, measured, threshold, **details):
     return CriterionResult(
         number=number,
         claim=claim,
         passed=bool(passed),
         measured=measured,
         threshold=threshold,
-        runtime_s=time.perf_counter() - started,
         details=details,
     )
 
@@ -133,7 +132,6 @@ def _sde_vs_closed_form(model, level, grid, noise):
 
 
 def criterion_oracle_equivalence() -> CriterionResult:
-    started = time.perf_counter()
     h, rho0 = three_level()
     model = FilterModel(rho0, spectral_decompose(h), sigma=1.0, hbar=1.0)
     t_max, dt = 1.0, 1e-3
@@ -150,21 +148,17 @@ def criterion_oracle_equivalence() -> CriterionResult:
     )
     err_fine, rms_fine = _sde_vs_closed_form(model, level, fine, dw_fine)
     ratio = err_fine / err_coarse
-    passed = err_coarse < 5e-3 and 0.35 <= ratio <= 0.75
-    result = _result(
+    return _result(
         1,
         "closed-form propagator == SDE integrator on a shared path",
-        passed,
+        err_coarse < 5e-3 and 0.35 <= ratio <= 0.75,
         f"max err {err_coarse:.2e} at dt=1e-3, halving ratio {ratio:.3f}",
-        "err < 5e-3, ratio in [0.35, 0.75], runtime < 10 s",
-        started,
+        "err < 5e-3, ratio in [0.35, 0.75]",
         err_coarse=err_coarse,
         err_fine=err_fine,
         ratio=ratio,
         rms_ratio=rms_fine / rms_coarse,
     )
-    result.passed = result.passed and result.runtime_s < 10.0
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +166,6 @@ def criterion_oracle_equivalence() -> CriterionResult:
 
 
 def criterion_born(summary) -> CriterionResult:
-    started = time.perf_counter()
     verdict = summary.checks["born"]
     return _result(
         2,
@@ -180,14 +173,12 @@ def criterion_born(summary) -> CriterionResult:
         verdict.passed,
         f"worst z = {verdict.statistic:.2f}, freqs "
         + "/".join(f"{f:.4f}" for f in summary.born_freqs),
-        f"z <= {verdict.threshold}, runtime < 60 s",
-        started,
+        f"z <= {verdict.threshold}",
         frequencies=list(summary.born_freqs),
     )
 
 
 def criterion_terminal_moments(summary) -> CriterionResult:
-    started = time.perf_counter()
     model = summary.model
     term = summary.terminal
     z_mean = abs(term["h_mean"] - model.h0) / term["h_se"]
@@ -199,14 +190,12 @@ def criterion_terminal_moments(summary) -> CriterionResult:
         z_mean <= ci and z_var <= ci,
         f"mean {term['h_mean']:.4f} (z={z_mean:.2f}), var {term['h_var']:.4f} (z={z_var:.2f})",
         f"targets {model.h0}, {model.v0}; |z| <= {ci}",
-        started,
         z_mean=z_mean,
         z_var=z_var,
     )
 
 
 def criterion_decoherence(summary) -> CriterionResult:
-    started = time.perf_counter()
     verdict = summary.checks["decoherence"]
     slopes = verdict.details["slopes"]
     wide = slopes["1-3"]["slope"]
@@ -219,7 +208,6 @@ def criterion_decoherence(summary) -> CriterionResult:
         f"worst slope error {verdict.statistic * 100:.1f}%, gap-2/gap-1 ratios "
         + ", ".join(f"{r:.2f}" for r in ratios),
         "slope within 10% per pair, ratio 4.0 +- 0.4",
-        started,
         slopes=slopes,
         ratios=ratios,
     )
@@ -230,7 +218,6 @@ def criterion_decoherence(summary) -> CriterionResult:
 
 
 def criterion_variance_decay(summary) -> CriterionResult:
-    started = time.perf_counter()
     verdict = summary.checks["variance_decay"]
     details = verdict.details
     terminal_ok = details["terminal_v_mean"] < 1e-6
@@ -242,13 +229,11 @@ def criterion_variance_decay(summary) -> CriterionResult:
         f"worst margin {details['worst_bound_margin']:.2e}, terminal mean V "
         f"{details['terminal_v_mean']:.2e}",
         "margin <= 0 at all grid points, terminal < 1e-6",
-        started,
         **details,
     )
 
 
 def criterion_lindblad_mean(summary) -> CriterionResult:
-    started = time.perf_counter()
     z = summary.checks["variance_decay"].details["z_mean_state"]
     ci = CI_MULTIPLIER
     return _result(
@@ -257,7 +242,6 @@ def criterion_lindblad_mean(summary) -> CriterionResult:
         z <= ci,
         f"worst entrywise z = {z:.2f} at t in {sorted(summary.mean_states)}",
         f"|z| <= {ci} entrywise (real and imaginary parts)",
-        started,
         z_mean_state=z,
     )
 
@@ -267,7 +251,6 @@ def criterion_lindblad_mean(summary) -> CriterionResult:
 
 
 def criterion_luders(summary) -> CriterionResult:
-    started = time.perf_counter()
     ground = summary.luders.get(0, {})
     excited = summary.luders.get(1, {})
     dist_ok = (
@@ -287,7 +270,6 @@ def criterion_luders(summary) -> CriterionResult:
         f"{excited.get('dist_mean', float('nan')):.2e}, purity "
         f"{excited.get('purity_mean', float('nan')):.6f}",
         "dist < 1e-4; purity 0.5 +- 1e-3 (doublet), 1.0 +- 1e-3 (excited)",
-        started,
         ground=ground,
         excited=excited,
     )
@@ -323,7 +305,6 @@ def random_instance(rng: np.random.Generator):
 
 
 def criterion_internal_consistency(n_instances: int = 100) -> CriterionResult:
-    started = time.perf_counter()
     rng = np.random.default_rng(SEED_RANDOM)
     worst = 0.0
     for _ in range(n_instances):
@@ -337,7 +318,6 @@ def criterion_internal_consistency(n_instances: int = 100) -> CriterionResult:
         worst < 1e-10,
         f"max entrywise gap {worst:.2e} over {n_instances} random instances (N <= 6)",
         "gap < 1e-10",
-        started,
         worst=worst,
     )
 
@@ -359,14 +339,15 @@ def _run_cli(args, threads, cwd):
         [sys.executable, "-m", "reduction_lab.cli", *args],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
-    if proc.returncode != 0:
+    # exit 1 is a finished run with a FAIL verdict and its files written;
+    # only an error (exit 2) stops the criterion
+    if proc.returncode not in (0, 1):
         raise ReductionLabError(
             f"cli failed ({proc.returncode}): {proc.stderr.strip()}"
         )
 
 
 def criterion_determinism() -> CriterionResult:
-    started = time.perf_counter()
     config_text = RunConfig(
         *three_level(), sigma=1.0, hbar=1.0, dt=1e-2, t_max=5.0,
         n_paths=1500, seed=777, mode="closed-form",
@@ -395,7 +376,6 @@ def criterion_determinism() -> CriterionResult:
         identical_rerun and identical_threads,
         f"rerun identical: {identical_rerun}, threads 1 vs 4 identical: {identical_threads}",
         "byte equality of trajectory.csv, summary.json, summary.csv",
-        started,
     )
 
 
@@ -404,7 +384,6 @@ def criterion_determinism() -> CriterionResult:
 
 
 def criterion_negative_controls() -> CriterionResult:
-    started = time.perf_counter()
     h2, rho2 = two_level()
     doubled = run_ensemble(
         RunConfig(
@@ -432,7 +411,6 @@ def criterion_negative_controls() -> CriterionResult:
         f"doubled drift martingale z = {doubled.checks['martingales'].statistic:.1f}, "
         f"biased sampler born z = {biased.checks['born'].statistic:.1f}",
         "both corrupted runs must FAIL their check",
-        started,
         drift_statistic=doubled.checks["martingales"].statistic,
         bias_statistic=biased.checks["born"].statistic,
     )
@@ -441,35 +419,41 @@ def criterion_negative_controls() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+# criterion number -> runtime budget in seconds; over budget is a FAIL
+RUNTIME_BUDGET_S = {1: 10.0, 2: 60.0}
+
+
 def run_all() -> list:
-    """Execute all ten criteria; ensemble-sharing keeps the cost down."""
+    """Execute all ten criteria in order, each timed together with the
+    shared ensemble it is the first to read."""
+    # built per call, not at import, so a wrapper bound to one of these
+    # module names after import (the benchmark's span tracer) is what runs
+    plan = (
+        (criterion_oracle_equivalence, None),
+        (criterion_born, ensemble_b),
+        (criterion_terminal_moments, ensemble_b),
+        (criterion_variance_decay, ensemble_a),
+        (criterion_lindblad_mean, ensemble_a),
+        (criterion_decoherence, ensemble_b),
+        (criterion_luders, ensemble_c),
+        (criterion_internal_consistency, None),
+        (criterion_determinism, None),
+        (criterion_negative_controls, None),
+    )
+    summaries = {}
     results = []
-    results.append(criterion_oracle_equivalence())
-
-    started = time.perf_counter()
-    summary_b = ensemble_b()
-    born = criterion_born(summary_b)
-    born.runtime_s += time.perf_counter() - started   # charge the run to #2
-    born.passed = born.passed and born.runtime_s < 60.0
-    results.append(born)
-    results.append(criterion_terminal_moments(summary_b))
-
-    started = time.perf_counter()
-    summary_a = ensemble_a()
-    variance = criterion_variance_decay(summary_a)
-    variance.runtime_s += time.perf_counter() - started   # charge the run to #4
-    results.append(variance)
-    results.append(criterion_lindblad_mean(summary_a))
-    results.append(criterion_decoherence(summary_b))
-
-    started = time.perf_counter()
-    summary_c = ensemble_c()
-    luders = criterion_luders(summary_c)
-    luders.runtime_s += time.perf_counter() - started     # charge the run to #7
-    results.append(luders)
-
-    results.append(criterion_internal_consistency())
-    results.append(criterion_determinism())
-    results.append(criterion_negative_controls())
-    results.sort(key=lambda r: r.number)
+    for criterion, ensemble in plan:
+        started = time.perf_counter()
+        if ensemble is None:
+            result = criterion()
+        else:
+            if ensemble not in summaries:
+                summaries[ensemble] = ensemble()
+            result = criterion(summaries[ensemble])
+        result.runtime_s = time.perf_counter() - started
+        budget = RUNTIME_BUDGET_S.get(result.number)
+        if budget is not None:
+            result.threshold += f", runtime < {budget:g} s"
+            result.passed = result.passed and result.runtime_s < budget
+        results.append(result)
     return results

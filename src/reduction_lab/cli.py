@@ -57,15 +57,14 @@ def cmd_simulate(args) -> int:
 
     if cfg.mode == "sde":
         traj = sde = simulate_sme(
-            model.rho0, model.spec, cfg.sigma, cfg.hbar, grid, sample_noise(grid, rng),
-            cfg.tolerances,
+            model.rho0, model.spec, cfg.sigma, cfg.hbar, grid, sample_noise(grid, rng)
         )
     else:
         level = model.draw_level(rng.random())
         path = make_information_path(level, model.spec, cfg.sigma, grid, sample_noise(grid, rng))
         traj = closed_form_trajectory(model, path)
         if cfg.mode == "both":
-            sde, gap = sde_gap(model, traj, cfg.tolerances)
+            sde, gap = sde_gap(model, traj)
             print(f"max |integrated - closed form| over the grid: {gap.max():.3e}")
     if cfg.mode != "closed-form":
         print(f"sde repairs: {sde.repairs} of {grid.n_steps} steps", file=sys.stderr)

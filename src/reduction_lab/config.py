@@ -45,14 +45,11 @@ MAX_PATHS = 2**32
 
 _TOP_KEYS = {
     "instance", "hamiltonian", "rho0", "sigma", "hbar", "grid", "n_paths",
-    "seed", "mode", "checks", "check_times", "output", "tolerances",
-    "drift_multiplier", "sampler_bias",
+    "seed", "mode", "checks", "check_times", "output", "drift_multiplier",
+    "sampler_bias",
 }
 _MATRIX_KEYS = {"real", "imag"}
 _GRID_KEYS = {"t_max", "dt"}
-_TOL_KEYS = {
-    "hermiticity_tol", "trace_tol", "psd_tol", "degeneracy_tol", "luders_floor", "clamp_tol",
-}
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
@@ -78,7 +75,11 @@ def _as_matrix(node, where: str) -> np.ndarray:
         )
     if real.ndim != 2 or real.shape[0] != real.shape[1]:
         raise ValidationError(f"{where}: matrix must be square, got {real.shape}")
-    return real + 1j * imag
+    # filling both parts keeps the sign of a -0.0 entry, which real + 1j * imag
+    # would turn into +0.0
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
 
 
 def _matrix_to_node(a: np.ndarray) -> dict:
@@ -150,7 +151,6 @@ class RunConfig:
     checks: tuple = ()
     check_times: tuple = ()
     output_dir: str = "."
-    tolerances: ToleranceSet = DEFAULT_TOLS
     drift_multiplier: float = 1.0
     sampler_bias: tuple | None = None
 
@@ -161,15 +161,8 @@ class RunConfig:
         def store(name, value):
             object.__setattr__(self, name, value)
 
-        tols = self.tolerances.override(**{
-            key: _positive(value, f"tolerances.{key}")
-            for key in sorted(_TOL_KEYS)
-            if (value := getattr(self.tolerances, key)) is not None
-        })
-        store("tolerances", tols)
-
         try:
-            h = _symmetrized(self.hamiltonian, tols)
+            h = _symmetrized(self.hamiltonian)
         except ReductionLabError as exc:
             raise ValidationError(f"hamiltonian: {exc}") from exc
         if np.shape(self.rho0) != h.shape:
@@ -177,7 +170,7 @@ class RunConfig:
                 f"rho0: shape {np.shape(self.rho0)} does not match hamiltonian {h.shape}"
             )
         try:
-            store("_density", validate_density(self.rho0, tols))
+            store("_density", validate_density(self.rho0))
         except ReductionLabError as exc:
             raise ValidationError(f"rho0: {exc}") from exc
 
@@ -215,13 +208,19 @@ class RunConfig:
                 raise ValidationError("sampler_bias: expected at least one weight > 0")
             store("sampler_bias", bias)
 
+    @property
+    def tolerances(self) -> ToleranceSet:
+        """The fixed numerical tolerances, DEFAULT_TOLS. No config sets
+        them; perfbench/setup_probe.py reads them off the parsed config."""
+        return DEFAULT_TOLS
+
     def resolve(self) -> tuple:
         """(FilterModel, grid): the prologue of every command, with t_max =
         None resolved to the collapse horizon. It checks the inputs that
         need the levels or the grid, so every command rejects the same
         configs."""
-        spec = spectral_decompose(self.hamiltonian, tols=self.tolerances)
-        model = FilterModel(self._density, spec, self.sigma, self.hbar, self.tolerances)
+        spec = spectral_decompose(self.hamiltonian)
+        model = FilterModel(self._density, spec, self.sigma, self.hbar)
         t_max = self.t_max if self.t_max is not None else default_horizon(model)
         check_grid_size(t_max, self.dt)
         grid = TimeGrid.from_duration(t_max, self.dt)
@@ -254,13 +253,6 @@ class RunConfig:
         }
         if self.sampler_bias is not None:
             out["sampler_bias"] = list(self.sampler_bias)
-        overrides = {
-            k: getattr(self.tolerances, k)
-            for k in _TOL_KEYS
-            if getattr(self.tolerances, k) != getattr(DEFAULT_TOLS, k)
-        }
-        if overrides:
-            out["tolerances"] = overrides
         return out
 
     def to_json(self) -> str:
@@ -280,7 +272,7 @@ def parse_config(text: str, **overrides) -> RunConfig:
     _reject_unknown(raw, _TOP_KEYS, "config")
 
     # the remaining top-level keys are RunConfig fields of the same name
-    nested = ("instance", "hamiltonian", "rho0", "grid", "output", "tolerances")
+    nested = ("instance", "hamiltonian", "rho0", "grid", "output")
     cfg = {key: value for key, value in raw.items() if key not in nested}
     if "instance" in raw:
         name = raw["instance"]
@@ -300,9 +292,6 @@ def parse_config(text: str, **overrides) -> RunConfig:
         cfg["hamiltonian"] = _as_matrix(raw["hamiltonian"]["matrix"], "hamiltonian.matrix")
         cfg["rho0"] = _as_matrix(raw["rho0"], "rho0")
 
-    if "tolerances" in raw:
-        _reject_unknown(raw["tolerances"], _TOL_KEYS, "tolerances")
-        cfg["tolerances"] = DEFAULT_TOLS.override(**raw["tolerances"])
     if "grid" in raw:
         _reject_unknown(raw["grid"], _GRID_KEYS, "grid")
         cfg.update(raw["grid"])

@@ -36,7 +36,6 @@ from .errors import DimensionMismatch, StepDivergence
 from .spectral import (
     DEFAULT_TOLS,
     SpectralDecomposition,
-    ToleranceSet,
     _freeze,
     hermitian_part,
     validate_density,
@@ -113,18 +112,17 @@ class Trajectory:
     repairs: int = 0                    # steps whose state the PSD clamp repaired
 
 
-def _clamp(a: np.ndarray, tols: ToleranceSet) -> tuple:
+def _clamp(a: np.ndarray) -> tuple:
     """(a with slightly negative eigenvalues clamped, whether it was needed).
 
     Clamping is a small repair, not a projection: eigenvalues below
     -clamp_tol mean the step diverged and raise instead.
     """
+    clamp_tol = DEFAULT_TOLS.clamp_tol
     lowest = float(np.linalg.eigvalsh(a)[0])
-    if lowest < -tols.clamp_tol:
-        raise StepDivergence(
-            f"eigenvalue {lowest:.3e} below clamp tolerance -{tols.clamp_tol:.1e}"
-        )
-    if lowest >= -tols.psd_tol:
+    if lowest < -clamp_tol:
+        raise StepDivergence(f"eigenvalue {lowest:.3e} below clamp tolerance -{clamp_tol:.1e}")
+    if lowest >= -DEFAULT_TOLS.psd_tol:
         return a, False
     values, vectors = np.linalg.eigh(a)
     a = (vectors * np.clip(values, 0.0, None)) @ vectors.conj().T
@@ -156,19 +154,11 @@ def sme_euler_raw(r, e, sigma: float, hbar: float, dt: float, dw: float) -> np.n
     return raw / trace
 
 
-def sme_step(
-    r,
-    e,
-    sigma: float,
-    hbar: float,
-    dt: float,
-    dw: float,
-    tols: ToleranceSet = DEFAULT_TOLS,
-) -> tuple:
+def sme_step(r, e, sigma: float, hbar: float, dt: float, dw: float) -> tuple:
     """One Euler-Maruyama step of the nonlinear stochastic master equation
     for a state r in the eigenbasis of H = diag(e): (the frozen stepped
     state, whether it needed the PSD clamp)."""
-    a, clamped = _clamp(sme_euler_raw(r, e, sigma, hbar, dt, dw), tols)
+    a, clamped = _clamp(sme_euler_raw(r, e, sigma, hbar, dt, dw))
     return _freeze(a), clamped
 
 
@@ -179,7 +169,6 @@ def simulate_sme(
     hbar: float,
     grid: TimeGrid,
     noise: NoisePath,
-    tols: ToleranceSet = DEFAULT_TOLS,
 ) -> Trajectory:
     """Iterate sme_step along the grid in the eigenbasis of H, given as its
     spectral decomposition, then derive the records from the whole stack of
@@ -189,7 +178,7 @@ def simulate_sme(
         raise DimensionMismatch(len(noise.increments), grid.n_steps)
 
     e, basis = spec.eigenvalues, spec.basis
-    rho = validate_density(rho0, tols)
+    rho = validate_density(rho0)
     if rho.shape != basis.shape:
         raise DimensionMismatch(rho.shape, basis.shape)
     stack = np.empty((grid.n_steps + 1,) + basis.shape, dtype=complex)
@@ -197,7 +186,7 @@ def simulate_sme(
     repairs = 0
     for k, dw in enumerate(noise.increments):
         try:
-            stack[k + 1], clamped = sme_step(stack[k], e, sigma, hbar, grid.dt, dw, tols)
+            stack[k + 1], clamped = sme_step(stack[k], e, sigma, hbar, grid.dt, dw)
         except StepDivergence as exc:
             raise StepDivergence(str(exc), step=k) from exc
         repairs += clamped

@@ -185,7 +185,6 @@ def closed_form_state(
     hbar: float,
     t: float,
     xi_t: float,
-    tols: ToleranceSet = DEFAULT_TOLS,
 ) -> np.ndarray:
     """Propagate rho_0 to time t with the exact stochastic map.
 
@@ -214,17 +213,16 @@ def closed_form_state(
     trace = np.trace(unnormalized).real
     if not np.isfinite(trace) or trace <= 0:
         raise NonFiniteInput(f"propagated trace {trace}")
-    return validate_density(unnormalized / trace, tols)
+    return validate_density(unnormalized / trace)
 
 
-def sde_gap(model: "FilterModel", closed: Trajectory,
-            tols: ToleranceSet = DEFAULT_TOLS) -> tuple:
+def sde_gap(model: "FilterModel", closed: Trajectory) -> tuple:
     """Drive the SDE integrator with the Brownian increments recovered from
     a closed-form trajectory: (the SDE Trajectory, the max entrywise
     |integrated - closed form| state gap per grid time)."""
     sde = simulate_sme(
         model.rho0, model.spec, model.sigma, model.hbar, closed.grid,
-        NoisePath(increments=np.diff(closed.w)), tols,
+        NoisePath(increments=np.diff(closed.w)),
     )
     times = closed.grid.times()
     exact = model.assemble(times, closed.pi, model.phi(times, closed.xi, closed.pi))
@@ -246,7 +244,6 @@ def state_decomposition(
     hbar: float,
     t: float,
     xi_t: float,
-    tols: ToleranceSet = DEFAULT_TOLS,
 ) -> np.ndarray:
     """Assemble rho_t from conditioned pieces rather than the propagator:
 
@@ -259,10 +256,10 @@ def state_decomposition(
     """
     if not (np.isfinite(t) and np.isfinite(xi_t)):
         raise NonFiniteInput(f"t={t}, xi={xi_t}")
-    model = FilterModel(rho0, spec, sigma, hbar, tols)
+    model = FilterModel(rho0, spec, sigma, hbar)
     pi, _ = model.posterior(t, xi_t)
     state = model.assemble(t, pi, model.phi(t, xi_t, pi))
-    return validate_density(hermitian_part(state), tols)
+    return validate_density(hermitian_part(state))
 
 
 def default_horizon(model: "FilterModel") -> float:
@@ -328,7 +325,7 @@ class FilterModel:
         self.luders_stack = np.zeros((spec.d,) + self.rho0.shape, dtype=complex)
         self.luders_purity = np.zeros(spec.d)
         for n in np.flatnonzero(self.p > tols.luders_floor):
-            state = self.luders_stack[n] = luders_state(self.rho0, spec, n, tols)
+            state = self.luders_stack[n] = luders_state(self.rho0, spec, n)
             self.luders_purity[n] = np.vdot(state, state).real
 
         self.pairs = spec.pairs()

@@ -2,9 +2,12 @@
 dynamics, checked at its stated tolerance on the built-in reference
 instances. One test (and one printed verdict line) per criterion."""
 
+import json
+
 import pytest
 
-from reduction_lab import acceptance
+from reduction_lab import RunConfig, acceptance
+from reduction_lab.instances import two_level
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +96,18 @@ def test_criterion_09_determinism(results):
 
 def test_criterion_10_negative_controls(results):
     _assert_criterion(results, 10)
+
+
+def test_cli_run_with_a_failing_check_still_counts(tmp_path):
+    # criterion 10's doubled-drift control FAILs its check, so the ensemble
+    # command exits 1 after writing its files: a finished run, not an error
+    config = tmp_path / "run.json"
+    config.write_text(RunConfig(
+        *two_level(), t_max=10.0, dt=0.1, n_paths=2000,
+        seed=acceptance.SEED_CONTROL, checks=("martingales",), drift_multiplier=2.0,
+    ).to_json())
+    out = tmp_path / "out"
+    acceptance._run_cli(["ensemble", "--config", str(config), "--out", str(out)], 1, tmp_path)
+    assert (out / "summary.csv").is_file()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["martingales"]["passed"] is False

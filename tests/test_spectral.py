@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reduction_lab import (
-    DEFAULT_TOLS,
+    ToleranceSet,
     luders_state,
     moments,
     offdiag_norms,
@@ -61,14 +61,14 @@ class TestValidateDensity:
 class TestSpectralDecompose:
     def test_exact_degeneracy_grouped(self):
         spec = spectral_decompose(np.diag([1.0, 1.0, 3.0]).astype(complex),
-                                  tols=DEFAULT_TOLS.override(degeneracy_tol=1e-9))
+                                  tols=ToleranceSet(degeneracy_tol=1e-9))
         assert spec.d == 2
         assert spec.multiplicities == (2, 1)
         assert np.allclose(spec.energies, [1.0, 3.0])
 
     def test_near_degeneracy_merged_to_weighted_mean(self):
         spec = spectral_decompose(np.diag([0.0, 1e-12, 1.0]).astype(complex),
-                                  tols=DEFAULT_TOLS.override(degeneracy_tol=1e-9))
+                                  tols=ToleranceSet(degeneracy_tol=1e-9))
         assert spec.d == 2
         assert spec.energies[0] == pytest.approx(0.5e-12, abs=1e-15)
 
