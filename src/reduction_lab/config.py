@@ -83,9 +83,11 @@ def _as_matrix(node, where: str) -> np.ndarray:
 
 
 def _matrix_to_node(a: np.ndarray) -> dict:
-    node = {"real": np.asarray(a).real.tolist()}
-    if np.any(np.asarray(a).imag != 0):
-        node["imag"] = np.asarray(a).imag.tolist()
+    a = np.asarray(a)
+    node = {"real": a.real.tolist()}
+    # an all -0.0 imag is kept too: its sign bits are what the config said
+    if np.any((a.imag != 0) | np.signbit(a.imag)):
+        node["imag"] = a.imag.tolist()
     return node
 
 

@@ -3,16 +3,26 @@ dynamics, checked at its stated tolerance on the built-in reference
 instances. One test (and one printed verdict line) per criterion."""
 
 import json
+import threading
+import time
 
 import pytest
 
-from reduction_lab import RunConfig, acceptance
+from reduction_lab import RunConfig, acceptance, cli
+from reduction_lab.errors import ReductionLabError
 from reduction_lab.instances import two_level
 
 
 @pytest.fixture(scope="module")
-def rows():
-    yield acceptance.run_all()
+def timed_run():
+    started = time.perf_counter()
+    rows = acceptance.run_all()
+    yield rows, time.perf_counter() - started
+
+
+@pytest.fixture(scope="module")
+def rows(timed_run):
+    yield timed_run[0]
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +102,16 @@ def test_criterion_08_internal_consistency(results):
 
 def test_criterion_09_determinism(results):
     _assert_criterion(results, 9)
+    assert results[9].details["children_wall_s"] > 0.0
+
+
+def test_runtimes_add_up_to_the_run(timed_run):
+    # each second of run_all is charged to one criterion at most once: the
+    # lane's time shows only as criterion 9's wait for it
+    rows, wall_s = timed_run
+    charged = sum(r.runtime_s for r in rows)
+    assert charged <= wall_s
+    assert wall_s - charged < 0.1
 
 
 def test_criterion_10_negative_controls(results):
@@ -111,3 +131,87 @@ def test_cli_run_with_a_failing_check_still_counts(tmp_path):
     assert (out / "summary.csv").is_file()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"]["martingales"]["passed"] is False
+
+
+def _outputs():
+    files = {"trajectory.csv": b"t,H_t\n0,0.5\n", "summary.json": b"{}", "summary.csv": b"t\n0\n"}
+    return {tag: dict(files) for tag in "abc"}
+
+
+def _flip_first_byte(outputs, tag, name):
+    data = outputs[tag][name]
+    outputs[tag][name] = bytes([data[0] ^ 1]) + data[1:]
+    return outputs
+
+
+def test_determinism_fails_on_a_flipped_byte():
+    assert acceptance.criterion_determinism((_outputs(), 1.0)).passed
+    threads = acceptance.criterion_determinism((_flip_first_byte(_outputs(), "c", "summary.csv"), 1.0))
+    assert not threads.passed
+    assert threads.measured == "rerun identical: True, threads 1 vs 4 identical: False"
+    rerun = acceptance.criterion_determinism((_flip_first_byte(_outputs(), "b", "summary.csv"), 1.0))
+    assert not rerun.passed
+    assert rerun.measured == "rerun identical: False, threads 1 vs 4 identical: True"
+
+
+@pytest.fixture
+def stub_criteria(monkeypatch):
+    """Every criterion but 9 and every shared ensemble replaced by an
+    instant stub; criterion 9's comparison is the real one."""
+    for name in vars(acceptance).copy():
+        if name.startswith("criterion_") and name != "criterion_determinism":
+            monkeypatch.setattr(acceptance, name, lambda *_, name=name: acceptance._result(
+                0, name, True, "", ""))
+        elif name.startswith("ensemble_"):
+            monkeypatch.setattr(acceptance, name, lambda: None)
+    return monkeypatch
+
+
+def test_children_start_on_their_own_lane_before_criterion_1(stub_criteria):
+    lane_started = threading.Event()
+    lanes, waits = [], []
+
+    def runs():
+        lanes.append(threading.get_ident())
+        lane_started.set()
+        return _outputs(), 0.0
+
+    def criterion_1():
+        waits.append(lane_started.wait(timeout=10))
+        return acceptance._result(1, "stub", True, "", "")
+
+    stub_criteria.setattr(acceptance, "determinism_runs", runs)
+    stub_criteria.setattr(acceptance, "criterion_oracle_equivalence", criterion_1)
+    rows = acceptance.run_all()
+    assert waits == [True]
+    assert len(lanes) == 1 and lanes[0] != threading.get_ident()
+    assert [r.passed for r in rows] == [True] * 10
+
+
+def test_a_lane_error_surfaces_from_verify(stub_criteria, capsys):
+    def runs():
+        raise ReductionLabError("cli failed (2): stub")
+
+    stub_criteria.setattr(acceptance, "determinism_runs", runs)
+    with pytest.raises(ReductionLabError, match="stub"):
+        acceptance.run_all()
+    assert cli.main(["verify"]) == 2
+    assert capsys.readouterr().err == "error: cli failed (2): stub\n"
+
+
+def test_a_failing_criterion_waits_for_the_lane(stub_criteria):
+    finished = threading.Event()
+
+    def runs():
+        time.sleep(0.2)
+        finished.set()
+        return _outputs(), 0.2
+
+    def criterion_1():
+        raise RuntimeError("criterion 1 broke")
+
+    stub_criteria.setattr(acceptance, "determinism_runs", runs)
+    stub_criteria.setattr(acceptance, "criterion_oracle_equivalence", criterion_1)
+    with pytest.raises(RuntimeError, match="criterion 1 broke"):
+        acceptance.run_all()
+    assert finished.is_set()

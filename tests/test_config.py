@@ -76,14 +76,18 @@ class TestParsing:
     @pytest.mark.parametrize("encoding", [
         {"real": [[0.5, -0.0], [-0.0, 0.5]]},
         {"real": [[0.5, -0.0], [-0.0, 0.5]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
-    ], ids=["real-only", "explicit-zero-imag"])
+        {"real": [[0.5, 0.5], [0.5, 0.5]], "imag": [[-0.0, -0.0], [-0.0, -0.0]]},
+    ], ids=["real-only", "explicit-zero-imag", "negative-zero-imag"])
     def test_negative_zero_survives_the_echo(self, encoding):
         cfg = parse_config(json.dumps({
             "hamiltonian": {"matrix": {"real": [[0.0, 0.0], [0.0, 1.0]]}},
             "rho0": encoding,
         }))
-        off_diagonal = cfg.to_dict()["rho0"]["real"][0][1]
-        assert off_diagonal == 0.0 and np.signbit(off_diagonal)
+        echoed = cfg.to_dict()["rho0"]
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        for part in ("real", "imag"):
+            given, back = encoding.get(part, zeros), echoed.get(part, zeros)
+            assert given == back and np.array_equal(np.signbit(given), np.signbit(back)), part
 
 
 class TestRejection:
