@@ -18,8 +18,9 @@ FilterModel holds the constants of one instance (p_r, H_0, V_0, the decay
 rates, the level distribution) and evaluates the posterior and everything
 that is a function of it: Phi, H_t, V_t, purity, |R_nm|, the assembled
 states and the exact mean state. closed_form_state keeps the propagator
-route as an independent cross-check, and sde_gap holds a closed-form path
-against the SDE integrator. The posterior is the one FilterModel quantity
+route as an independent cross-check: it runs over H's raw eigenpairs and
+shares no level grouping with FilterModel. sde_gap holds a closed-form
+path against the SDE integrator. The posterior is the one FilterModel quantity
 evaluated in the log domain, with max-subtraction; the raw formula
 overflows double precision once sigma E_r xi_t is large.
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NoisePath, TimeGrid, Trajectory, simulate_sme
-from .errors import DegenerateDistribution, NonFiniteInput
+from .errors import DegenerateDistribution, NonFiniteInput, ZeroProbabilitySubspace
 from .spectral import (
     DEFAULT_TOLS,
     SpectralDecomposition,
@@ -59,15 +60,6 @@ class InformationPath:
 
     grid: TimeGrid
     xi: np.ndarray
-
-
-def _level_probabilities(rho0, spec: SpectralDecomposition) -> np.ndarray:
-    p = spec.level_probabilities(rho0)
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0:
-        raise DegenerateDistribution("state carries no weight on any level")
-    return p / total
 
 
 def _log_masses(log_p, energies, sigma, t, xi, out=None):
@@ -188,28 +180,26 @@ def closed_form_state(
 ) -> np.ndarray:
     """Propagate rho_0 to time t with the exact stochastic map.
 
-    Works level-by-level: the propagator is scalar on each eigenspace,
-    k_r = exp[-i E_r t / hbar + sigma E_r xi / 2 - sigma^2 E_r^2 t / 4],
-    and the shared magnitude scale cancels in the normalization, so the
-    largest populated level is pinned to magnitude one before assembling
-    K rho_0 K^dag.
+    Works over the raw eigenpairs (e_i, v_i) of H, before any degeneracy
+    grouping: K = V diag(k) V^dag with
+    k_i = exp[-i e_i t / hbar + sigma e_i xi / 2 - sigma^2 e_i^2 t / 4],
+    and 0 on eigenvectors that carry no weight of rho_0. The shared
+    magnitude scale cancels in the normalization, so the largest supported
+    magnitude is pinned to one before assembling K rho_0 K^dag.
     """
     if not (np.isfinite(t) and np.isfinite(xi_t)):
         raise NonFiniteInput(f"t={t}, xi={xi_t}")
     rho = np.asarray(rho0)
-    p = _level_probabilities(rho0, spec)
-    supported = p > 0
-    log_mag = 0.5 * sigma * spec.energies * xi_t - 0.25 * sigma**2 * spec.energies**2 * t
-    top = np.max(log_mag[supported])
+    supported = spec.eigenvector_weights(rho) > 0
+    if not supported.any():
+        raise DegenerateDistribution("state carries no weight on any level")
+    e = spec.eigenvalues[supported]
+    log_mag = 0.5 * sigma * e * xi_t - 0.25 * sigma**2 * e**2 * t
+    k = np.zeros(spec.dim, dtype=complex)
+    k[supported] = np.exp(log_mag - np.max(log_mag) - 1j * e * t / hbar)
+    propagator = (spec.basis * k) @ spec.basis.conj().T
 
-    k = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for r in range(spec.d):
-        if not supported[r]:
-            continue
-        scale = np.exp(log_mag[r] - top - 1j * spec.energies[r] * t / hbar)
-        k += scale * spec.projectors[r]
-
-    unnormalized = k @ rho @ k.conj().T
+    unnormalized = propagator @ rho @ propagator.conj().T
     trace = np.trace(unnormalized).real
     if not np.isfinite(trace) or trace <= 0:
         raise NonFiniteInput(f"propagated trace {trace}")
@@ -304,7 +294,9 @@ class FilterModel:
     that ensembles can evaluate pi, Phi, purity, and assembled states on
     whole (path, time) blocks. Phi is symmetric under n <-> m and the phases
     are conjugate. A state with no weight on any level raises
-    DegenerateDistribution.
+    DegenerateDistribution. A level whose weight is at or below
+    luders_state's floor keeps a zero Lueders state; tols is accepted and
+    not read.
     """
 
     def __init__(self, rho0, spec: SpectralDecomposition, sigma: float,
@@ -313,7 +305,10 @@ class FilterModel:
         self.sigma = float(sigma)
         self.hbar = float(hbar)
         self.rho0 = np.asarray(rho0, dtype=complex)
-        self.p = _level_probabilities(rho0, spec)
+        p = np.clip(spec.level_probabilities(self.rho0), 0.0, None)
+        if p.sum() <= 0:
+            raise DegenerateDistribution("state carries no weight on any level")
+        self.p = p / p.sum()
         self.level_cdf = level_cdf(self.p)
         with np.errstate(divide="ignore"):
             self.log_p = np.log(self.p)
@@ -321,11 +316,13 @@ class FilterModel:
         self.h0 = float(self.p @ self.energies)
         self.v0 = float(self.p @ self.energies**2 - (self.p @ self.energies) ** 2)
 
-        # a level below luders_floor keeps a zero Lueders state
         self.luders_stack = np.zeros((spec.d,) + self.rho0.shape, dtype=complex)
         self.luders_purity = np.zeros(spec.d)
-        for n in np.flatnonzero(self.p > tols.luders_floor):
-            state = self.luders_stack[n] = luders_state(self.rho0, spec, n)
+        for n in range(spec.d):
+            try:
+                state = self.luders_stack[n] = luders_state(self.rho0, spec, n)
+            except ZeroProbabilitySubspace:
+                continue
             self.luders_purity[n] = np.vdot(state, state).real
 
         self.pairs = spec.pairs()

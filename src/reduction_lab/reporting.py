@@ -71,13 +71,14 @@ def summary_columns(summary: EnsembleSummary) -> dict:
     for r in range(summary.model.spec.d):
         columns[f"pi_{r + 1}_mean"] = summary.pi_series.mean[:, r]
         columns[f"pi_{r + 1}_se"] = summary.pi_series.se[:, r]
+    r_mean = summary.model.offdiag_norm(summary.phi_series.mean)
+    r_se = summary.model.offdiag_norm(summary.phi_series.se)
     for slot, (n, m) in enumerate(summary.model.pairs):
         label = f"Phi_{n + 1}{m + 1}"
         columns[f"{label}_mean"] = summary.phi_series.mean[:, slot]
         columns[f"{label}_se"] = summary.phi_series.se[:, slot]
-        scale = summary.model.r0_norm[slot]
-        columns[f"{_pair_label(n, m)}_mean"] = scale * summary.phi_series.mean[:, slot]
-        columns[f"{_pair_label(n, m)}_se"] = scale * summary.phi_series.se[:, slot]
+        columns[f"{_pair_label(n, m)}_mean"] = r_mean[:, slot]
+        columns[f"{_pair_label(n, m)}_se"] = r_se[:, slot]
     return columns
 
 

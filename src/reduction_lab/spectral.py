@@ -1,9 +1,13 @@
 """Complex Hermitian linear algebra for finite-dimensional quantum states.
 
 Everything downstream works in the eigenrepresentation of the Hamiltonian
-H = sum_r E_r P_r with distinct levels E_1 < ... < E_D and orthogonal
-projectors P_r, so this module owns validation, the spectral decomposition
-with degeneracy grouping, Lueders conditioning, and state moments.
+H = sum_r E_r P_r with distinct levels E_1 < ... < E_D. The decomposition
+stores only the eigenbasis: level r's projector is P_r = V_r V_r^dag, with
+V_r the orthonormal eigenvectors grouped into that level, and no P_r is
+ever formed. This module owns validation, the spectral decomposition with
+degeneracy grouping, Lueders conditioning, and state moments. The
+propagator route, filtering.closed_form_state, reads only the raw
+eigenpairs, so it shares no grouping with the ensembles.
 
 A state is a frozen (N, N) complex ndarray; all other types are immutable
 values and all operations are pure functions.
@@ -104,28 +108,31 @@ def validate_density(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct energy levels with their orthogonal eigenprojectors.
+    """Distinct energy levels over the eigenbasis of the operator.
 
-    energies are strictly increasing after degeneracy grouping and
-    sum_r energies[r] * projectors[r] reconstructs the operator. The raw
-    eigensystem stays alongside: H = basis @ diag(eigenvalues) @ basis^dag,
-    and eigenvector i belongs to level level_index[i].
+    H = basis @ diag(eigenvalues) @ basis^dag, eigenvector i belongs to
+    level level_index[i], and energies are strictly increasing after
+    degeneracy grouping. Level r's projector is V_r V_r^dag, with
+    V_r = vectors(r).
     """
 
     energies: np.ndarray            # (D,) real, strictly increasing
-    projectors: tuple               # D matrices, P_r^2 = P_r = P_r^dag
-    multiplicities: tuple           # ints summing to N
     eigenvalues: np.ndarray         # (N,) real, ascending, before grouping
     basis: np.ndarray               # (N, N) unitary, eigenvectors as columns
     level_index: np.ndarray         # (N,) level of each eigenvector
 
     @property
     def d(self) -> int:
-        return len(self.multiplicities)
+        return len(self.energies)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return len(self.eigenvalues)
+
+    @property
+    def multiplicities(self) -> tuple:
+        """Eigenvectors per level, summing to N."""
+        return tuple(int(c) for c in np.bincount(self.level_index))
 
     @property
     def min_gap(self) -> float:
@@ -137,11 +144,18 @@ class SpectralDecomposition:
         """Ordered pairs (n, m), n < m, of distinct levels."""
         return [(n, m) for n in range(self.d) for m in range(n + 1, self.d)]
 
+    def vectors(self, r: int) -> np.ndarray:
+        """V_r, the (N, multiplicity) eigenvector columns of level r."""
+        return self.basis[:, self.level_index == r]
+
+    def eigenvector_weights(self, rho) -> np.ndarray:
+        """<v_i|rho|v_i> for each eigenvector: the diagonal of V^dag rho V."""
+        return np.sum(self.basis.conj() * (rho @ self.basis), axis=0).real
+
     def level_probabilities(self, rho) -> np.ndarray:
-        """p_r = tr(rho P_r) for each level."""
-        return np.array(
-            [float(np.trace(p @ rho).real) for p in self.projectors]
-        )
+        """p_r = tr(rho P_r): the eigenvector weights summed per level."""
+        return np.bincount(self.level_index, weights=self.eigenvector_weights(rho),
+                           minlength=self.d)
 
 
 def spectral_decompose(h, tols: ToleranceSet = DEFAULT_TOLS) -> SpectralDecomposition:
@@ -149,10 +163,9 @@ def spectral_decompose(h, tols: ToleranceSet = DEFAULT_TOLS) -> SpectralDecompos
 
     Eigenvalues are grouped by single linkage on the sorted spectrum:
     a gap larger than tols.degeneracy_tol starts a new level. Each merged level
-    takes the multiplicity-weighted mean of its members, and its projector
-    is the sum of outer products of the corresponding orthonormal
-    eigenvectors. The operator must be Hermitian within hermiticity_tol
-    and is symmetrized exactly before the eigensolver sees it.
+    takes the multiplicity-weighted mean of its members and spans their
+    orthonormal eigenvectors. The operator must be Hermitian within
+    hermiticity_tol and is symmetrized exactly before the eigensolver sees it.
     """
     a = _symmetrized(h, tols)
     try:
@@ -164,47 +177,33 @@ def spectral_decompose(h, tols: ToleranceSet = DEFAULT_TOLS) -> SpectralDecompos
     if degeneracy_tol is None:
         degeneracy_tol = 1e-8 * max(1.0, float(np.max(np.abs(eigenvalues))))
 
-    # eigh returns ascending eigenvalues; chain neighbors closer than tol
-    groups = [[0]]
-    for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[groups[-1][-1]] <= degeneracy_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    energies = []
-    projectors = []
-    multiplicities = []
-    for idx in groups:
-        energies.append(float(np.mean(eigenvalues[idx])))
-        v = vectors[:, idx]
-        projectors.append(_freeze(hermitian_part(v @ v.conj().T)))
-        multiplicities.append(len(idx))
-
+    # eigh returns ascending eigenvalues; a gap above tol starts a new level
+    level_index = np.concatenate(([0], np.cumsum(np.diff(eigenvalues) > degeneracy_tol)))
+    energies = [np.mean(eigenvalues[level_index == r]) for r in range(level_index[-1] + 1)]
     return SpectralDecomposition(
         energies=_freeze(np.array(energies)),
-        projectors=tuple(projectors),
-        multiplicities=tuple(multiplicities),
         eigenvalues=_freeze(eigenvalues),
         basis=_freeze(vectors),
-        level_index=_freeze(np.repeat(np.arange(len(groups)), multiplicities)),
+        level_index=_freeze(level_index),
     )
 
 
 def luders_state(rho0, spec: SpectralDecomposition, r: int) -> np.ndarray:
-    """Condition a state on level r: P_r rho P_r / tr(rho P_r).
+    """Condition a state on level r: P_r rho P_r / tr(rho P_r), formed as
+    V_r (V_r^dag rho V_r) V_r^dag / w.
 
     The result is an energy eigenstate of level r; it is pure only when the
     initial state restricted to that subspace is.
     """
     rho = np.asarray(rho0)
-    p = spec.projectors[r]
-    if rho.shape != p.shape:
-        raise DimensionMismatch(rho.shape, p.shape)
-    weight = float(np.trace(p @ rho).real)
+    if rho.shape != spec.basis.shape:
+        raise DimensionMismatch(rho.shape, spec.basis.shape)
+    v = spec.vectors(r)
+    block = v.conj().T @ rho @ v
+    weight = float(np.trace(block).real)
     if weight <= DEFAULT_TOLS.luders_floor:
         raise ZeroProbabilitySubspace(r, weight)
-    out = p @ rho @ p / weight
+    out = v @ block @ v.conj().T / weight
     return _freeze(hermitian_part(out))
 
 
@@ -236,8 +235,9 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def offdiag_block(rho, spec: SpectralDecomposition, n: int, m: int) -> np.ndarray:
-    """R_nm = P_n rho P_m."""
-    return spec.projectors[n] @ rho @ spec.projectors[m]
+    """R_nm = P_n rho P_m, formed as V_n (V_n^dag rho V_m) V_m^dag."""
+    v_n, v_m = spec.vectors(n), spec.vectors(m)
+    return v_n @ (v_n.conj().T @ rho @ v_m) @ v_m.conj().T
 
 
 def offdiag_norms(rho, spec: SpectralDecomposition) -> dict:
@@ -246,8 +246,8 @@ def offdiag_norms(rho, spec: SpectralDecomposition) -> dict:
     Hermitian symmetry of rho gives |R_nm| = |R_mn|.
     """
     r = np.asarray(rho)
-    if r.shape != spec.projectors[0].shape:
-        raise DimensionMismatch(r.shape, spec.projectors[0].shape)
+    if r.shape != spec.basis.shape:
+        raise DimensionMismatch(r.shape, spec.basis.shape)
     out = {}
     for n in range(spec.d):
         for m in range(spec.d):

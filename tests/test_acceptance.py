@@ -5,10 +5,11 @@ instances. One test (and one printed verdict line) per criterion."""
 import json
 import threading
 import time
+import types
 
 import pytest
 
-from reduction_lab import RunConfig, acceptance, cli
+from reduction_lab import RunConfig, ToleranceSet, Verdict, acceptance, cli, spectral_decompose
 from reduction_lab.errors import ReductionLabError
 from reduction_lab.instances import two_level
 
@@ -98,6 +99,37 @@ def test_criterion_07_luders_outcomes(results):
 def test_criterion_08_internal_consistency(results):
     _assert_criterion(results, 8)
     assert results[8].details["worst"] < 1e-10
+
+
+def test_criterion_08_fails_when_levels_are_merged(monkeypatch):
+    # mutation: a decomposition that merges eigenvalues closer than 0.3
+    # into one level must show as a gap between the two routes
+    merging = ToleranceSet(degeneracy_tol=0.3)
+    monkeypatch.setattr(acceptance, "spectral_decompose",
+                        lambda h: spectral_decompose(h, tols=merging))
+    result = acceptance.criterion_internal_consistency()
+    assert not result.passed
+    assert result.details["worst"] >= 1e-10
+
+
+def _degenerate_summary(luders_passed):
+    stats = {"dist_mean": 1e-11, "purity_mean": 0.5}
+    return types.SimpleNamespace(
+        checks={"luders": Verdict("luders", luders_passed, 0.0, 1.0)},
+        luders={0: stats, 1: dict(stats, purity_mean=1.0)},
+    )
+
+
+def test_criterion_07_reads_the_luders_verdict():
+    assert acceptance.criterion_luders(_degenerate_summary(True)).passed
+    failed = acceptance.criterion_luders(_degenerate_summary(False))
+    assert not failed.passed
+    assert failed.measured == (
+        "doublet: dist 1.00e-11, purity 0.500000; excited: dist 1.00e-11, purity 1.000000"
+    )
+    unsampled = _degenerate_summary(True)
+    del unsampled.luders[1]
+    assert not acceptance.criterion_luders(unsampled).passed
 
 
 def test_criterion_09_determinism(results):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import projector_oracle as oracle
 from reduction_lab import (
     FilterModel,
     NoisePath,
@@ -171,12 +172,8 @@ class TestSimulateSme:
         below = np.nonzero(traj.V < eig_eps)[0]
         assert below.size > 0, "trajectory never reached the absorption region"
         k0 = int(below[0])
-        spec = spectral_decompose(H2)
-        anchor = min(
-            range(spec.d),
-            key=lambda r: np.max(np.abs(traj.states[k0] - spec.projectors[r])),
-        )
-        target = spec.projectors[anchor]
+        projectors = oracle.projectors(spectral_decompose(H2))
+        target = min(projectors, key=lambda p: np.max(np.abs(traj.states[k0] - p)))
         worst = max(
             float(np.max(np.abs(s - target))) for s in traj.states[k0:]
         )

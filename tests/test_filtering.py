@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduction_lab import (
+    DEFAULT_TOLS,
     FilterModel,
     TimeGrid,
+    ToleranceSet,
     closed_form_state,
     closed_form_trajectory,
     default_horizon,
@@ -382,6 +384,25 @@ class TestStateDecomposition:
         direct = closed_form_state(rho0, spec, sigma, hbar, t, xi)
         assembled = state_decomposition(rho0, spec, sigma, hbar, t, xi)
         assert np.max(np.abs(direct - assembled)) < 1e-12
+
+    def test_propagator_route_sees_a_split_the_grouping_merges(self):
+        # the default tolerance merges E = 1 and 1 + 5e-9 into one level;
+        # only the decomposition route reads the grouping
+        spec = spectral_decompose(np.diag([0.0, 1.0, 1.0 + 5e-9]).astype(complex))
+        assert spec.d == 2
+        direct = closed_form_state(RHO_B, spec, 1.0, 1.0, 2.0, 1.0)
+        assembled = state_decomposition(RHO_B, spec, 1.0, 1.0, 2.0, 1.0)
+        assert np.max(np.abs(direct - assembled)) > 1e-10
+
+    def test_luders_floor_is_the_one_luders_state_checks(self):
+        # level 2 weighs 1e-13, under luders_state's floor: the model keeps a
+        # zero Lueders state for it whatever tolerance set it is given
+        rho0 = np.diag([1.0 - 1e-13, 1e-13]).astype(complex)
+        for tols in (DEFAULT_TOLS, ToleranceSet(luders_floor=1e-14)):
+            model = FilterModel(rho0, SPEC2, 1.0, 1.0, tols)
+            assert model.p[1] == pytest.approx(1e-13, rel=1e-6)
+            assert not model.luders_stack[1].any()
+            assert model.luders_purity[1] == 0.0
 
 
 class TestCollapseStatistics:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import projector_oracle as oracle
 from reduction_lab import (
     ToleranceSet,
+    closed_form_state,
     luders_state,
     moments,
     offdiag_norms,
     spectral_decompose,
     validate_density,
 )
+from reduction_lab.acceptance import random_instance
 from reduction_lab.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -16,6 +19,7 @@ from reduction_lab.errors import (
     NotTraceOne,
     ZeroProbabilitySubspace,
 )
+from reduction_lab.spectral import offdiag_block
 
 
 def random_hermitian(rng, n):
@@ -79,8 +83,9 @@ class TestSpectralDecompose:
         assert np.allclose(spec.energies, [-1.0, 1.0])
         minus = 0.5 * np.array([[1, -1], [-1, 1]])
         plus = 0.5 * np.array([[1, 1], [1, 1]])
-        assert np.allclose(spec.projectors[0], minus, atol=1e-12)
-        assert np.allclose(spec.projectors[1], plus, atol=1e-12)
+        projectors = oracle.projectors(spec)
+        assert np.allclose(projectors[0], minus, atol=1e-12)
+        assert np.allclose(projectors[1], plus, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_projector_invariants_random(self, seed):
@@ -89,16 +94,17 @@ class TestSpectralDecompose:
         h = random_hermitian(rng, n)
         spec = spectral_decompose(h)
         tol = 1e-9
+        projectors = oracle.projectors(spec)
         total = np.zeros((n, n), dtype=complex)
-        for r, p in enumerate(spec.projectors):
+        for r, p in enumerate(projectors):
             assert np.max(np.abs(p - p.conj().T)) <= tol
             assert np.max(np.abs(p @ p - p)) <= tol
             for s in range(r + 1, spec.d):
-                assert np.max(np.abs(p @ spec.projectors[s])) <= tol
+                assert np.max(np.abs(p @ projectors[s])) <= tol
             total += p
         assert np.max(np.abs(total - np.eye(n))) <= tol
         scale = max(1.0, float(np.max(np.abs(spec.energies))))
-        reconstructed = sum(e * p for e, p in zip(spec.energies, spec.projectors))
+        reconstructed = sum(e * p for e, p in zip(spec.energies, projectors))
         assert np.max(np.abs(reconstructed - h)) <= 1e-8 * scale
         assert np.all(np.diff(spec.energies) > 0)
 
@@ -116,7 +122,7 @@ class TestLudersState:
     def test_fixed_point_on_subspace_mix(self):
         h = np.diag([0.0, 0.0, 1.0]).astype(complex)
         spec = spectral_decompose(h)
-        rho0 = spec.projectors[0] / 2.0
+        rho0 = oracle.projectors(spec)[0] / 2.0
         out = luders_state(rho0, spec, 0)
         assert np.allclose(out, rho0, atol=1e-14)
 
@@ -126,7 +132,7 @@ class TestLudersState:
         spec = spectral_decompose(h)
         rho0 = random_density(rng, 4)
         out = luders_state(rho0, spec, 2)
-        assert np.allclose(out, spec.projectors[2], atol=1e-10)
+        assert np.allclose(out, oracle.projectors(spec)[2], atol=1e-10)
 
     def test_fully_degenerate_hamiltonian_returns_state(self):
         spec = spectral_decompose(np.zeros((2, 2), dtype=complex))
@@ -222,3 +228,33 @@ class TestOffdiagNorms:
         norms = offdiag_norms(random_density(rng, n), spec)
         for n_, m_ in spec.pairs():
             assert norms[(n_, m_)] == pytest.approx(norms[(m_, n_)], rel=1e-12)
+
+
+class TestAgainstProjectorOracle:
+    """Every level quantity formed from eigenvector blocks agrees with its
+    dense-projector formula, and the propagator over the raw eigenpairs with
+    the one over grouped levels, on random instances (some degenerate)."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(4242)
+        degenerate = 0
+        for _ in range(200):
+            h, rho0, spec, sigma, hbar, t, xi = random_instance(rng)
+            degenerate += spec.d < h.shape[0]
+            assert np.max(np.abs(
+                spec.level_probabilities(rho0) - oracle.level_probabilities(rho0, spec)
+            )) <= 1e-12
+            for r in range(spec.d):
+                assert np.max(np.abs(
+                    luders_state(rho0, spec, r) - oracle.luders_state(rho0, spec, r)
+                )) <= 1e-12
+            for n in range(spec.d):
+                for m in range(spec.d):
+                    assert np.max(np.abs(
+                        offdiag_block(rho0, spec, n, m) - oracle.offdiag_block(rho0, spec, n, m)
+                    )) <= 1e-12
+            assert np.max(np.abs(
+                closed_form_state(rho0, spec, sigma, hbar, t, xi)
+                - oracle.closed_form_state(rho0, spec, sigma, hbar, t, xi)
+            )) <= 1e-12
+        assert degenerate > 0
