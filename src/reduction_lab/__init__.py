@@ -5,6 +5,7 @@ harness that verifies the model's analytic consequences."""
 from .config import CHECK_NAMES, RunConfig
 from .dynamics import (
     NoisePath,
+    SmeConstants,
     TimeGrid,
     Trajectory,
     integrate_lindblad,

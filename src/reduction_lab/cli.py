@@ -2,7 +2,10 @@
 
 Subcommands:
   simulate   one trajectory, path 0 of the ensemble with the same seed ->
-             CSV (t, H_t, V_t, purity, xi, W, pi_r, |R_nm|)
+             CSV (t, H_t, V_t, purity, xi, W, pi_r, |R_nm|); --mode sde
+             and both integrate the SDE on that path's increments, print
+             its gap to the closed form, and its time and repair count on
+             stderr
   ensemble   Monte Carlo run -> summary JSON + per-time CSV of means/stderrs
   lindblad   exact ensemble mean state -> CSV of matrix entries
   verify     built-in verification suite; nonzero exit on any failure
@@ -16,10 +19,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from . import acceptance
 from .config import MODES, RunConfig, parse_config
-from .dynamics import sample_noise, simulate_sme
+from .dynamics import sample_noise
 from .errors import ReductionLabError
 from .filtering import closed_form_trajectory, make_information_path, sde_gap
 from .harness import path_rngs, run_ensemble
@@ -52,22 +56,22 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     model, grid = cfg.resolve()
-    # the trajectory is path 0 of an ensemble with the same seed
+    # every mode follows path 0 of an ensemble with the same seed: the SDE
+    # integrates the Brownian increments recovered from its closed form
     rng = path_rngs(cfg.seed, 0, 1)[0]
-
-    if cfg.mode == "sde":
-        traj = sde = simulate_sme(
-            model.rho0, model.spec, cfg.sigma, cfg.hbar, grid, sample_noise(grid, rng)
-        )
-    else:
-        level = model.draw_level(rng.random())
-        path = make_information_path(level, model.spec, cfg.sigma, grid, sample_noise(grid, rng))
-        traj = closed_form_trajectory(model, path)
-        if cfg.mode == "both":
-            sde, gap = sde_gap(model, traj)
-            print(f"max |integrated - closed form| over the grid: {gap.max():.3e}")
+    level = model.draw_level(rng.random())
+    path = make_information_path(level, model.spec, cfg.sigma, grid, sample_noise(grid, rng))
+    traj = closed_form_trajectory(model, path)
     if cfg.mode != "closed-form":
+        start = time.perf_counter()
+        sde, gap = sde_gap(model, traj)
+        elapsed = time.perf_counter() - start
+        print(f"max |integrated - closed form| over the grid: {gap.max():.3e}")
+        print(f"sde: {grid.n_steps} steps in {elapsed:.2f} s "
+              f"({1e6 * elapsed / grid.n_steps:.1f} us/step)", file=sys.stderr)
         print(f"sde repairs: {sde.repairs} of {grid.n_steps} steps", file=sys.stderr)
+        if cfg.mode == "sde":
+            traj = sde
 
     out = _out_path(cfg, "trajectory.csv")
     write_csv(out, trajectory_columns(traj, model.spec))

@@ -15,19 +15,22 @@ lindblad command and the variance_decay check use; integrate_lindblad
 stays as the numerical oracle the tests hold that closed form against.
 
 Both stochastic steps, sme_step and sse_step, take their state in the
-eigenbasis of H together with its 1-D eigenvalues e; there every generator
-is elementwise: (E_i - E_j) rho_ij, -(E_i - E_j)^2 rho_ij and
-(E_i + E_j - 2 H_t) rho_ij for rho, E_i c_i and (E_i - H_t) c_i for psi.
-A density-matrix step costs about ten small array operations and one
-eigvalsh. Euler-Maruyama does not preserve positivity, so each step is
-repaired: hermitize, renormalize the trace, and clamp slightly negative
-eigenvalues; a violation beyond clamp_tol raises StepDivergence. States are
-plain frozen arrays: sme_step returns (state, clamped) and simulate_sme,
-which rotates into the eigenbasis once per run, counts the clamped steps.
+eigenbasis of H; there every generator is elementwise: (E_i - E_j) rho_ij,
+-(E_i - E_j)^2 rho_ij and (E_i + E_j - 2 H_t) rho_ij for rho, E_i c_i and
+(E_i - H_t) c_i for psi. sse_step takes the 1-D eigenvalues e; sme_step
+takes SmeConstants, the arrays that do not change during a run, which
+simulate_sme builds once from (e, sigma, hbar, dt), so a density-matrix
+step costs about eight small array operations and one eigvalsh.
+Euler-Maruyama does not preserve positivity, so each step is repaired:
+hermitize, renormalize the trace, and clamp slightly negative eigenvalues;
+a violation beyond clamp_tol raises StepDivergence. States are plain frozen
+arrays: sme_step returns (state, clamped) and simulate_sme, which rotates
+into the eigenbasis once per run, counts the clamped steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +124,10 @@ def _clamp(a: np.ndarray) -> tuple:
     clamp_tol = DEFAULT_TOLS.clamp_tol
     lowest = float(np.linalg.eigvalsh(a)[0])
     if lowest < -clamp_tol:
-        raise StepDivergence(f"eigenvalue {lowest:.3e} below clamp tolerance -{clamp_tol:.1e}")
+        raise StepDivergence(
+            f"eigenvalue {lowest:.3e} below clamp tolerance -{clamp_tol:.1e}; "
+            "a (near-)pure rho0 needs a smaller grid.dt, or --mode closed-form"
+        )
     if lowest >= -DEFAULT_TOLS.psd_tol:
         return a, False
     values, vectors = np.linalg.eigh(a)
@@ -129,7 +135,36 @@ def _clamp(a: np.ndarray) -> tuple:
     return hermitian_part(a / np.trace(a).real), True
 
 
-def sme_euler_raw(r, e, sigma: float, hbar: float, dt: float, dw: float) -> np.ndarray:
+@dataclass(frozen=True)
+class SmeConstants:
+    """What an Euler-Maruyama step of the SME reuses on every step of a run
+    in the eigenbasis of H = diag(e): with dE = E_i - E_j,
+
+      generator = (-i/hbar dE - sigma^2/8 dE^2) dt,   level_sum = E_i + E_j,
+
+    and half_sigma = sigma/2. Built once per run by SmeConstants.build.
+    """
+
+    e: np.ndarray
+    generator: np.ndarray
+    level_sum: np.ndarray
+    half_sigma: float
+
+    @classmethod
+    def build(cls, e, sigma: float, hbar: float, dt: float) -> "SmeConstants":
+        if np.ndim(e) != 1:
+            raise DimensionMismatch(np.shape(e))
+        e = np.array(e, dtype=float)
+        de = e[:, None] - e
+        return cls(
+            e=_freeze(e),
+            generator=_freeze(de * (-1j * dt / hbar - 0.125 * sigma**2 * dt * de)),
+            level_sum=_freeze(e[:, None] + e),
+            half_sigma=0.5 * sigma,
+        )
+
+
+def sme_euler_raw(r, step: SmeConstants, dw: float) -> np.ndarray:
     """The algebraic Euler-Maruyama map of a state r in the eigenbasis of
     H = diag(e), hermitized and trace-renormalized but without the PSD
     policy: with dE = E_i - E_j,
@@ -141,24 +176,26 @@ def sme_euler_raw(r, e, sigma: float, hbar: float, dt: float, dw: float) -> np.n
     cone at order dt (dW^2 - dt), which is why sme_step layers a
     clamp-or-reject policy on top of this map.
     """
-    r, e = np.asarray(r), np.asarray(e)
-    if e.ndim != 1 or r.shape != (len(e), len(e)):
-        raise DimensionMismatch(r.shape, e.shape)
-    de = e[:, None] - e
-    h_t = float(e @ r.diagonal().real)
-    generator = de * (-1j * dt / hbar - 0.125 * sigma**2 * dt * de)
-    raw = hermitian_part(r + (generator + 0.5 * sigma * dw * (e[:, None] + e - 2.0 * h_t)) * r)
+    r = np.asarray(r)
+    if r.shape != step.generator.shape:
+        raise DimensionMismatch(r.shape, step.e.shape)
+    h_t = float(step.e @ r.diagonal().real)
+    raw = r + (step.generator + step.half_sigma * dw * (step.level_sum - 2.0 * h_t)) * r
+    # hermitize in place: (raw + raw^dag) / 2
+    raw += raw.conj().T
+    raw /= 2.0
     trace = raw.trace().real
-    if not np.isfinite(trace) or trace <= 0:
+    if not math.isfinite(trace) or trace <= 0:
         raise StepDivergence(f"trace collapsed to {trace}")
-    return raw / trace
+    raw /= trace
+    return raw
 
 
-def sme_step(r, e, sigma: float, hbar: float, dt: float, dw: float) -> tuple:
+def sme_step(r, step: SmeConstants, dw: float) -> tuple:
     """One Euler-Maruyama step of the nonlinear stochastic master equation
-    for a state r in the eigenbasis of H = diag(e): (the frozen stepped
-    state, whether it needed the PSD clamp)."""
-    a, clamped = _clamp(sme_euler_raw(r, e, sigma, hbar, dt, dw))
+    for a state r in the eigenbasis of H, with the run's constants step:
+    (the frozen stepped state, whether it needed the PSD clamp)."""
+    a, clamped = _clamp(sme_euler_raw(r, step, dw))
     return _freeze(a), clamped
 
 
@@ -183,10 +220,11 @@ def simulate_sme(
         raise DimensionMismatch(rho.shape, basis.shape)
     stack = np.empty((grid.n_steps + 1,) + basis.shape, dtype=complex)
     stack[0] = basis.conj().T @ rho @ basis
+    step = SmeConstants.build(e, sigma, hbar, grid.dt)
     repairs = 0
-    for k, dw in enumerate(noise.increments):
+    for k, dw in enumerate(noise.increments.tolist()):
         try:
-            stack[k + 1], clamped = sme_step(stack[k], e, sigma, hbar, grid.dt, dw)
+            stack[k + 1], clamped = sme_step(stack[k], step, dw)
         except StepDivergence as exc:
             raise StepDivergence(str(exc), step=k) from exc
         repairs += clamped

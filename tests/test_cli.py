@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -94,6 +95,27 @@ class TestSimulate:
         assert ("sde repairs: 0 of 200 steps\n" in captured.err) is reports
         assert "repairs" not in captured.out
         assert "repairs" not in (tmp_path / "trajectory.csv").read_text()
+        # so does the SDE's time; its gap to the closed form goes to stdout
+        timing = re.findall(r"^sde: 200 steps in \d+\.\d\d s \(\d+\.\d us/step\)$",
+                            captured.err, flags=re.MULTILINE)
+        assert len(timing) == int(reports)
+        assert "steps in" not in captured.out
+        assert ("max |integrated - closed form|" in captured.out) is reports
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_sde_mode_is_path_0(self, tmp_path, seed):
+        # the SDE integrates path 0's increments, so it drives the same W as
+        # the closed form and collapses onto the same level
+        cfg = write_config(tmp_path, grid={"t_max": 20.0, "dt": 1e-3}, seed=seed)
+        runs = {}
+        for mode in ("sde", "closed-form"):
+            assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / mode),
+                             "--mode", mode]) == 0
+            header, runs[mode] = read_csv(tmp_path / mode / "trajectory.csv")
+        sde, closed = runs["sde"], runs["closed-form"]
+        w = header.index("W")
+        assert np.max(np.abs(sde[:, w] - closed[:, w])) <= 1e-9
+        assert sde[-1, 1] == pytest.approx(closed[-1, 1], abs=1e-3)
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)

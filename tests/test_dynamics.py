@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import projector_oracle as oracle
+import sme_oracle
 from reduction_lab import (
     FilterModel,
     NoisePath,
+    SmeConstants,
     TimeGrid,
+    dynamics,
     integrate_lindblad,
     lindblad_rhs,
     sample_noise,
@@ -49,13 +52,13 @@ class TestTimeGrid:
 class TestSmeStep:
     def test_eigenprojector_is_fixed_point(self):
         rho = np.diag([0.0, 1.0]).astype(complex)
-        out, _ = sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.04)
+        out, _ = sme_step(rho, SmeConstants.build(E2, sigma=1.0, hbar=1.0, dt=1e-3), dw=0.04)
         assert np.allclose(out, rho, atol=1e-14)
 
     def test_sigma_zero_is_unitary_euler(self):
         rho = coherent_qubit()
         dt = 1e-4
-        out, _ = sme_step(rho, E2, sigma=0.0, hbar=1.0, dt=dt, dw=0.3)
+        out, _ = sme_step(rho, SmeConstants.build(E2, sigma=0.0, hbar=1.0, dt=dt), dw=0.3)
         # noise and dissipator off; purity drift of the Euler rotation is O(dt^2)
         before = float(np.vdot(rho, rho).real)
         after = float(np.vdot(out, out).real)
@@ -64,7 +67,7 @@ class TestSmeStep:
     def test_two_level_scalar_recursion_oracle(self):
         # diagonal rho stays diagonal: p' = p - sigma p (1 - p) dW
         rho = np.eye(2, dtype=complex) / 2
-        out, _ = sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=1e-3, dw=0.02)
+        out, _ = sme_step(rho, SmeConstants.build(E2, sigma=1.0, hbar=1.0, dt=1e-3), dw=0.02)
         assert out[0, 0].real == pytest.approx(0.495, abs=1e-12)
         assert out[1, 1].real == pytest.approx(0.505, abs=1e-12)
         assert abs(out[0, 1]) < 1e-15
@@ -75,16 +78,18 @@ class TestSmeStep:
         increments = rng.standard_normal(400) * np.sqrt(dt)
         p = 0.5
         rho = np.eye(2, dtype=complex) / 2
+        step = SmeConstants.build(E2, sigma=1.0, hbar=1.0, dt=dt)
         for dw in increments:
             p = p - p * (1 - p) * dw
-            rho, _ = sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=dt, dw=dw)
+            rho, _ = sme_step(rho, step, dw=dw)
         assert rho[0, 0].real == pytest.approx(p, abs=1e-12)
 
     def test_trace_exact_after_step(self):
         rng = np.random.default_rng(2)
         rho = coherent_qubit()
+        step = SmeConstants.build(E2, sigma=1.0, hbar=1.0, dt=1e-3)
         for dw in rng.standard_normal(50) * np.sqrt(1e-3):
-            rho, _ = sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=1e-3, dw=dw)
+            rho, _ = sme_step(rho, step, dw=dw)
             assert abs(np.trace(rho).real - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
@@ -106,17 +111,18 @@ class TestSmeStep:
         # beyond the clamp tolerance and must be refused, not repaired
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         with pytest.raises(StepDivergence):
-            sme_step(rho, E2, sigma=1.0, hbar=1.0, dt=1e-2, dw=0.8)
+            sme_step(rho, SmeConstants.build(E2, sigma=1.0, hbar=1.0, dt=1e-2), dw=0.8)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            sme_step(np.eye(3, dtype=complex) / 3, E2, 1.0, 1.0, 1e-3, 0.0)
+            sme_step(np.eye(3, dtype=complex) / 3, SmeConstants.build(E2, 1.0, 1.0, 1e-3), 0.0)
 
     def test_wrong_length_eigenvalues_rejected(self):
         with pytest.raises(DimensionMismatch):
-            sme_step(coherent_qubit(), np.array([0.0, 1.0, 2.0]), 1.0, 1.0, 1e-3, 0.0)
+            sme_step(coherent_qubit(), SmeConstants.build(np.array([0.0, 1.0, 2.0]), 1.0, 1.0, 1e-3),
+                     0.0)
         with pytest.raises(DimensionMismatch):
-            sme_step(coherent_qubit(), H2, 1.0, 1.0, 1e-3, 0.0)
+            sme_step(coherent_qubit(), SmeConstants.build(H2, 1.0, 1.0, 1e-3), 0.0)
 
 
 class TestSimulateSme:
@@ -285,6 +291,8 @@ class TestEigenbasisKernel:
             simulate_sme(rho, spectral_decompose(H2), 1.0, 1.0, grid, NoisePath(increments=increments))
         assert caught.value.step == 6
         assert str(caught.value).startswith("step 6: ")
+        # and says what to change
+        assert str(caught.value).endswith("needs a smaller grid.dt, or --mode closed-form")
 
     def test_repair_counter(self):
         h, rho0 = three_level()
@@ -294,6 +302,78 @@ class TestEigenbasisKernel:
         clamped = simulate_sme(rho0, spectral_decompose(h), 4.0, 1.0, grid, noise)
         expected, clamps = matrix_form_path(rho0, h, 4.0, 1.0, grid, noise)
         assert clamped.repairs == clamps > 0
+
+
+RECORD_FIELDS = ("xi", "w", "pi", "H", "V", "purity", "offdiag", "states")
+
+
+def bits(a):
+    """The raw 64-bit words of a float or complex array."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStepOracle:
+    """simulate_sme against the per-call step of tests/sme_oracle.py, bit
+    for bit: the oracle's states are replayed through simulate_sme's own
+    record derivation and every field must match the real run's."""
+
+    def assert_bitwise_equal_to_oracle(self, monkeypatch, rho0, spec, sigma, hbar, grid, noise):
+        try:
+            stack, clamped = sme_oracle.path(rho0, spec, sigma, hbar, grid, noise)
+        except StepDivergence as exc:
+            with pytest.raises(StepDivergence) as caught:
+                simulate_sme(rho0, spec, sigma, hbar, grid, noise)
+            assert caught.value.step == exc.step
+            assert str(caught.value).startswith(str(exc))
+            return None
+        got = simulate_sme(rho0, spec, sigma, hbar, grid, noise)
+        replay = iter(zip(stack[1:], clamped))
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "sme_step", lambda r, step, dw: next(replay))
+            expected = simulate_sme(rho0, spec, sigma, hbar, grid, noise)
+        for name in RECORD_FIELDS:
+            assert np.array_equal(bits(getattr(got, name)), bits(getattr(expected, name))), name
+        assert got.repairs == expected.repairs == sum(clamped)
+        return got
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_builtin_instances(self, monkeypatch, name):
+        h, rho0 = INSTANCES[name]()
+        grid = TimeGrid.from_duration(2.0, 1e-3)
+        noise = sample_noise(grid, np.random.default_rng(5))
+        assert self.assert_bitwise_equal_to_oracle(
+            monkeypatch, rho0, spectral_decompose(h), 1.0, 1.0, grid, noise) is not None
+
+    def test_random_instances(self, monkeypatch):
+        rng = np.random.default_rng(2003)
+        grid = TimeGrid.from_duration(0.5, 1e-3)
+        compared = 0
+        for draw in range(8):
+            _, rho0, spec, sigma, hbar, _, _ = random_instance(rng)
+            noise = sample_noise(grid, np.random.default_rng(draw))
+            compared += self.assert_bitwise_equal_to_oracle(
+                monkeypatch, rho0, spec, sigma, hbar, grid, noise) is not None
+        assert compared >= 4
+
+    def test_clamping_run(self, monkeypatch):
+        # the sigma = 4 run of test_repair_counter, which the clamp repairs
+        h, rho0 = three_level()
+        grid = TimeGrid.from_duration(2.0, 2e-3)
+        noise = sample_noise(grid, np.random.default_rng(0))
+        traj = self.assert_bitwise_equal_to_oracle(
+            monkeypatch, rho0, spectral_decompose(h), 4.0, 1.0, grid, noise)
+        assert traj.repairs > 0
+
+    def test_diverging_run(self, monkeypatch):
+        # a pure start leaves the PSD cone within a few steps at dt = 1e-3
+        rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        grid = TimeGrid.from_duration(1.0, 1e-3)
+        noise = sample_noise(grid, np.random.default_rng(2))
+        with pytest.raises(StepDivergence) as caught:
+            sme_oracle.path(rho, spectral_decompose(H2), 1.0, 1.0, grid, noise)
+        assert caught.value.step == 3
+        assert self.assert_bitwise_equal_to_oracle(
+            monkeypatch, rho, spectral_decompose(H2), 1.0, 1.0, grid, noise) is None
 
 
 def matrix_form_sse_step(psi, h, sigma, hbar, dt, dw):
@@ -352,7 +432,7 @@ class TestSseStep:
             for z, w in zip(nodes, weights):
                 dw = np.sqrt(dt) * z
                 p1 = u @ sse_step(c, e, sigma, hbar, dt, dw)
-                raw = u @ sme_euler_raw(r, e, sigma, hbar, dt, dw) @ u.conj().T
+                raw = u @ sme_euler_raw(r, SmeConstants.build(e, sigma, hbar, dt), dw) @ u.conj().T
                 acc += w * (np.outer(p1, p1.conj()) - raw)
             return float(np.max(np.abs(acc)))
 

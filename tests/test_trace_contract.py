@@ -123,3 +123,11 @@ def test_traced_sde_steps_and_csv_values(monkeypatch, tmp_path):
     csv = entries["reporting.write_csv"]["sums"]
     assert csv == {"rows": grid.n_steps + 1, "values": (grid.n_steps + 1) * 12,
                    "bytes": path.stat().st_size}
+
+    # a step the PSD clamp repairs is still one call of dynamics.sme_step
+    repaired_grid = TimeGrid.from_duration(2.0, 2e-3)
+    noise = dynamics.sample_noise(repaired_grid, np.random.default_rng(0))
+    traj = dynamics.simulate_sme(rho0, spec, 4.0, 1.0, repaired_grid, noise)
+    entries = {span: entry for (span, _), entry in tracer.totals.items()}
+    assert traj.repairs > 0
+    assert entries["dynamics.sme_step"]["calls"] == grid.n_steps + repaired_grid.n_steps
