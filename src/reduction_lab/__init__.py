@@ -4,7 +4,6 @@ harness that verifies the model's analytic consequences."""
 
 from .config import CHECK_NAMES, RunConfig
 from .dynamics import (
-    NoisePath,
     SmeConstants,
     TimeGrid,
     Trajectory,
@@ -20,11 +19,9 @@ from .dynamics import (
 from .errors import ReductionLabError
 from .filtering import (
     FilterModel,
-    InformationPath,
     closed_form_state,
     closed_form_trajectory,
     default_horizon,
-    make_information_path,
     recovered_brownian,
     sde_gap,
     state_decomposition,

@@ -27,13 +27,12 @@ import numpy as np
 import reduction_lab
 
 from .config import RunConfig
-from .dynamics import NoisePath, TimeGrid, sample_noise
+from .dynamics import TimeGrid, sample_noise
 from .errors import ReductionLabError
 from .filtering import (
     FilterModel,
     closed_form_state,
     closed_form_trajectory,
-    make_information_path,
     sde_gap,
     state_decomposition,
 )
@@ -124,11 +123,10 @@ def ensemble_c() -> "EnsembleSummary":
 # criterion 1: closed form vs SDE integrator on one shared path
 
 
-def _sde_vs_closed_form(model, level, grid, noise):
+def _sde_vs_closed_form(model, level, grid, b):
     """Entrywise gap between the integrated SDE (driven by the reconstructed
     Brownian increments) and the exact states: (max over grid, RMS over grid)."""
-    path = make_information_path(level, model.spec, model.sigma, grid, noise)
-    _, per_time = sde_gap(model, closed_form_trajectory(model, path))
+    _, per_time = sde_gap(model, closed_form_trajectory(model, grid, level, b))
     return float(per_time.max()), float(np.sqrt(np.mean(per_time**2)))
 
 
@@ -142,7 +140,7 @@ def criterion_oracle_equivalence() -> CriterionResult:
     level = model.draw_level(rng.random())
     fine = TimeGrid.from_duration(t_max, dt / 2.0)
     dw_fine = sample_noise(fine, rng)
-    coarse = NoisePath(increments=dw_fine.increments.reshape(-1, 2).sum(axis=1))
+    coarse = dw_fine.reshape(-1, 2).sum(axis=1)
 
     err_coarse, rms_coarse = _sde_vs_closed_form(
         model, level, TimeGrid.from_duration(t_max, dt), coarse
@@ -363,10 +361,10 @@ def determinism_runs() -> tuple:
             os.makedirs(out)
             _run_cli(["simulate", "--config", cfg_path, "--out", out], threads, tmp)
             _run_cli(["ensemble", "--config", cfg_path, "--out", out], threads, tmp)
-            outputs[tag] = {
-                name: open(os.path.join(out, name), "rb").read()
-                for name in ("trajectory.csv", "summary.json", "summary.csv")
-            }
+            outputs[tag] = {}
+            for name in ("trajectory.csv", "summary.json", "summary.csv"):
+                with open(os.path.join(out, name), "rb") as handle:
+                    outputs[tag][name] = handle.read()
     return outputs, time.perf_counter() - started
 
 

@@ -1,11 +1,11 @@
 """Command-line surface.
 
 Subcommands:
-  simulate   one trajectory, path 0 of the ensemble with the same seed ->
-             CSV (t, H_t, V_t, purity, xi, W, pi_r, |R_nm|); --mode sde
-             and both integrate the SDE on that path's increments, print
-             its gap to the closed form, and its time and repair count on
-             stderr
+  simulate   one trajectory, path 0 of the ensemble with the same seed: its
+             level and its Brownian increments, a plain array -> CSV (t,
+             H_t, V_t, purity, xi, W, pi_r, |R_nm|); --mode sde and both
+             integrate the SDE on those increments, print its gap to the
+             closed form, and its time and repair count on stderr
   ensemble   Monte Carlo run -> summary JSON + per-time CSV of means/stderrs
   lindblad   exact ensemble mean state -> CSV of matrix entries
   verify     built-in verification suite; nonzero exit on any failure
@@ -25,7 +25,7 @@ from . import acceptance
 from .config import MODES, RunConfig, parse_config
 from .dynamics import sample_noise
 from .errors import ReductionLabError
-from .filtering import closed_form_trajectory, make_information_path, sde_gap
+from .filtering import closed_form_trajectory, sde_gap
 from .harness import path_rngs, run_ensemble
 from .reporting import (
     lindblad_columns,
@@ -60,8 +60,7 @@ def cmd_simulate(args) -> int:
     # integrates the Brownian increments recovered from its closed form
     rng = path_rngs(cfg.seed, 0, 1)[0]
     level = model.draw_level(rng.random())
-    path = make_information_path(level, model.spec, cfg.sigma, grid, sample_noise(grid, rng))
-    traj = closed_form_trajectory(model, path)
+    traj = closed_form_trajectory(model, grid, level, sample_noise(grid, rng))
     if cfg.mode != "closed-form":
         start = time.perf_counter()
         sde, gap = sde_gap(model, traj)

@@ -23,9 +23,11 @@ simulate_sme builds once from (e, sigma, hbar, dt), so a density-matrix
 step costs about eight small array operations and one eigvalsh.
 Euler-Maruyama does not preserve positivity, so each step is repaired:
 hermitize, renormalize the trace, and clamp slightly negative eigenvalues;
-a violation beyond clamp_tol raises StepDivergence. States are plain frozen
+a violation beyond clamp_tol raises StepDivergence. States are plain
 arrays: sme_step returns (state, clamped) and simulate_sme, which rotates
-into the eigenbasis once per run, counts the clamped steps.
+into the eigenbasis once per run, counts the clamped steps. A path's noise
+is a plain array too: sample_noise draws the grid's n_steps Brownian
+increments, and simulate_sme takes them as dw.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, StepDivergence
+from .errors import DimensionMismatch, NonFiniteInput, StepDivergence
 from .spectral import (
     DEFAULT_TOLS,
     SpectralDecomposition,
@@ -49,46 +51,31 @@ from .spectral import (
 class TimeGrid:
     """Uniform grid t_k = k dt, k = 0..n_steps."""
 
-    t_max: float
     dt: float
     n_steps: int
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        tol = 32.0 * np.spacing(max(abs(self.t_max), abs(self.dt), 1.0))
-        if abs(self.n_steps * self.dt - self.t_max) > tol * max(1, self.n_steps):
-            raise ValueError(
-                f"n_steps * dt = {self.n_steps * self.dt} does not match "
-                f"t_max = {self.t_max}"
-            )
+
+    @property
+    def t_max(self) -> float:
+        return self.n_steps * self.dt
 
     @classmethod
     def from_duration(cls, t_max: float, dt: float) -> "TimeGrid":
         """Build a grid of round(t_max/dt) steps, snapping t_max to the grid."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        n = max(1, round(t_max / dt))
-        return cls(t_max=n * dt, dt=dt, n_steps=n)
+        return cls(dt=dt, n_steps=max(1, round(t_max / dt)))
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Brownian increments on a grid: increments[k] ~ Normal(0, dt)."""
-
-    increments: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.increments)):
-            raise ValueError("noise increments must be finite")
-
-
-def sample_noise(grid: TimeGrid, rng: np.random.Generator) -> NoisePath:
+def sample_noise(grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
     """Draw independent Normal(0, dt) increments for every step of the grid."""
-    return NoisePath(increments=_freeze(rng.standard_normal(grid.n_steps) * np.sqrt(grid.dt)))
+    return _freeze(rng.standard_normal(grid.n_steps) * np.sqrt(grid.dt))
 
 
 @dataclass(frozen=True)
@@ -194,9 +181,8 @@ def sme_euler_raw(r, step: SmeConstants, dw: float) -> np.ndarray:
 def sme_step(r, step: SmeConstants, dw: float) -> tuple:
     """One Euler-Maruyama step of the nonlinear stochastic master equation
     for a state r in the eigenbasis of H, with the run's constants step:
-    (the frozen stepped state, whether it needed the PSD clamp)."""
-    a, clamped = _clamp(sme_euler_raw(r, step, dw))
-    return _freeze(a), clamped
+    (the stepped state, whether it needed the PSD clamp)."""
+    return _clamp(sme_euler_raw(r, step, dw))
 
 
 def simulate_sme(
@@ -205,14 +191,18 @@ def simulate_sme(
     sigma: float,
     hbar: float,
     grid: TimeGrid,
-    noise: NoisePath,
+    dw: np.ndarray,
 ) -> Trajectory:
     """Iterate sme_step along the grid in the eigenbasis of H, given as its
-    spectral decomposition, then derive the records from the whole stack of
-    states. The run is bitwise reproducible for a fixed noise path.
+    spectral decomposition, driven by the n_steps Brownian increments dw,
+    then derive the records from the whole stack of states. The run is
+    bitwise reproducible for fixed increments.
     """
-    if len(noise.increments) != grid.n_steps:
-        raise DimensionMismatch(len(noise.increments), grid.n_steps)
+    dw = np.asarray(dw)
+    if dw.shape != (grid.n_steps,):
+        raise DimensionMismatch(dw.shape, (grid.n_steps,))
+    if not np.all(np.isfinite(dw)):
+        raise NonFiniteInput("noise increments must be finite")
 
     e, basis = spec.eigenvalues, spec.basis
     rho = validate_density(rho0)
@@ -222,9 +212,9 @@ def simulate_sme(
     stack[0] = basis.conj().T @ rho @ basis
     step = SmeConstants.build(e, sigma, hbar, grid.dt)
     repairs = 0
-    for k, dw in enumerate(noise.increments.tolist()):
+    for k, dw_k in enumerate(dw.tolist()):
         try:
-            stack[k + 1], clamped = sme_step(stack[k], step, dw)
+            stack[k + 1], clamped = sme_step(stack[k], step, dw_k)
         except StepDivergence as exc:
             raise StepDivergence(str(exc), step=k) from exc
         repairs += clamped
@@ -241,11 +231,11 @@ def simulate_sme(
         offdiag[:, slot] = np.sqrt(abs2[:, levels[n]][:, :, levels[m]].sum(axis=(1, 2)))
 
     w = np.zeros(grid.n_steps + 1)
-    np.cumsum(noise.increments, out=w[1:])
+    np.cumsum(dw, out=w[1:])
     # xi[k+1] = (xi[k] + sigma H_k dt) + dW_k in this order: a running sum
     # over the interleaved terms, not over their per-step sums, whose
     # rounding drifts ~1e-13 over 20 000 steps
-    terms = np.column_stack([sigma * h_series[:-1] * grid.dt, noise.increments])
+    terms = np.column_stack([sigma * h_series[:-1] * grid.dt, dw])
     xi = np.zeros(grid.n_steps + 1)
     xi[1:] = np.add.accumulate(terms.ravel())[1::2]
 

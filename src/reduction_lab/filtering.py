@@ -19,8 +19,10 @@ rates, the level distribution) and evaluates the posterior and everything
 that is a function of it: Phi, H_t, V_t, purity, |R_nm|, the assembled
 states and the exact mean state. closed_form_state keeps the propagator
 route as an independent cross-check: it runs over H's raw eigenpairs and
-shares no level grouping with FilterModel. sde_gap holds a closed-form
-path against the SDE integrator. The posterior is the one FilterModel quantity
+shares no level grouping with FilterModel. One path is its signal level and
+the increments of B: closed_form_trajectory forms xi from them and evaluates
+the solution along it, and sde_gap holds that path against the SDE
+integrator. The posterior is the one FilterModel quantity
 evaluated in the log domain, with max-subtraction; the raw formula
 overflows double precision once sigma E_r xi_t is large.
 
@@ -35,11 +37,9 @@ R_nm(0) = P_n rho_0 P_m vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dynamics import NoisePath, TimeGrid, Trajectory, simulate_sme
+from .dynamics import TimeGrid, Trajectory, simulate_sme
 from .errors import DegenerateDistribution, NonFiniteInput, ZeroProbabilitySubspace
 from .spectral import (
     DEFAULT_TOLS,
@@ -52,14 +52,6 @@ from .spectral import (
     offdiag_block,
     validate_density,
 )
-
-
-@dataclass(frozen=True)
-class InformationPath:
-    """One realization of xi_t = sigma t H + B_t on a grid."""
-
-    grid: TimeGrid
-    xi: np.ndarray
 
 
 def _log_masses(log_p, energies, sigma, t, xi, out=None):
@@ -149,27 +141,6 @@ def level_cdf(weights) -> np.ndarray:
     return cdf
 
 
-def make_information_path(
-    level: int,
-    spec: SpectralDecomposition,
-    sigma: float,
-    grid: TimeGrid,
-    noise: NoisePath | None,
-) -> InformationPath:
-    """xi_t = sigma t E_level + B_t on the grid, with B the running sum of
-    the noise increments.
-
-    noise=None suppresses the noise (B identically zero), which isolates the
-    deterministic drift.
-    """
-    times = grid.times()
-    b = np.zeros(grid.n_steps + 1)
-    if noise is not None:
-        b[1:] = np.cumsum(noise.increments)
-    xi = sigma * float(spec.energies[level]) * times + b
-    return InformationPath(grid=grid, xi=_freeze(xi))
-
-
 def closed_form_state(
     rho0,
     spec: SpectralDecomposition,
@@ -211,20 +182,18 @@ def sde_gap(model: "FilterModel", closed: Trajectory) -> tuple:
     a closed-form trajectory: (the SDE Trajectory, the max entrywise
     |integrated - closed form| state gap per grid time)."""
     sde = simulate_sme(
-        model.rho0, model.spec, model.sigma, model.hbar, closed.grid,
-        NoisePath(increments=np.diff(closed.w)),
+        model.rho0, model.spec, model.sigma, model.hbar, closed.grid, np.diff(closed.w)
     )
     times = closed.grid.times()
     exact = model.assemble(times, closed.pi, model.phi(times, closed.xi, closed.pi))
     return sde, np.max(np.abs(sde.states - exact), axis=(1, 2))
 
 
-def recovered_brownian(
-    path: InformationPath, rho0, spec: SpectralDecomposition, sigma: float
-) -> np.ndarray:
-    """Reconstruct the driving Brownian motion W_t = xi_t - sigma int_0^t H_s ds,
-    with left Riemann sums (the Ito, non-anticipating reading)."""
-    return closed_form_trajectory(FilterModel(rho0, spec, sigma), path).w
+def recovered_brownian(model: "FilterModel", grid: TimeGrid, level: int, b) -> np.ndarray:
+    """Reconstruct the driving Brownian motion W_t = xi_t - sigma int_0^t H_s ds
+    of the path closed_form_trajectory(model, grid, level, b), with left
+    Riemann sums (the Ito, non-anticipating reading)."""
+    return closed_form_trajectory(model, grid, level, b).w
 
 
 def state_decomposition(
@@ -264,18 +233,24 @@ def default_horizon(model: "FilterModel") -> float:
     return horizon
 
 
-def closed_form_trajectory(model: "FilterModel", path: InformationPath) -> Trajectory:
-    """Evaluate the exact solution along one information path."""
-    times = path.grid.times()
-    pi, _ = model.posterior(times, path.xi)
-    phi = model.phi(times, path.xi, pi)
+def closed_form_trajectory(model: "FilterModel", grid: TimeGrid, level: int, b) -> Trajectory:
+    """Evaluate the exact solution along the information path
+    xi_t = sigma t E_level + B_t on the grid, with B the running sum of b,
+    the grid's n_steps Brownian increments (as dynamics.sample_noise draws
+    them)."""
+    times = grid.times()
+    path_b = np.zeros(grid.n_steps + 1)
+    path_b[1:] = np.cumsum(b)
+    xi = _freeze(model.sigma * float(model.energies[level]) * times + path_b)
+    pi, _ = model.posterior(times, xi)
+    phi = model.phi(times, xi, pi)
     h_path = model.energy(pi)
-    w = np.empty_like(path.xi)
+    w = np.empty_like(xi)
     w[0] = 0.0
-    w[1:] = path.xi[1:] - model.sigma * path.grid.dt * np.cumsum(h_path[:-1])
+    w[1:] = xi[1:] - model.sigma * grid.dt * np.cumsum(h_path[:-1])
     return Trajectory(
-        grid=path.grid,
-        xi=path.xi,
+        grid=grid,
+        xi=xi,
         w=_freeze(w),
         pi=_freeze(pi),
         H=_freeze(h_path),

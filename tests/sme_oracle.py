@@ -39,12 +39,12 @@ def euler_raw(r, e, sigma, hbar, dt, dw):
 
 
 def path(rho0, spec, sigma, hbar, grid, noise):
-    """The eigenbasis states along a noise path, with rho0 rotated in as
-    simulate_sme does, and whether each step needed the clamp."""
+    """The eigenbasis states along the Brownian increments noise, with rho0
+    rotated in as simulate_sme does, and whether each step needed the clamp."""
     basis, e = spec.basis, spec.eigenvalues
     states = [basis.conj().T @ validate_density(rho0) @ basis]
     clamped = []
-    for k, dw in enumerate(noise.increments):
+    for k, dw in enumerate(noise):
         try:
             state, flag = clamp(euler_raw(states[-1], e, sigma, hbar, grid.dt, dw))
         except StepDivergence as exc:

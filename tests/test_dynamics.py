@@ -5,7 +5,6 @@ import projector_oracle as oracle
 import sme_oracle
 from reduction_lab import (
     FilterModel,
-    NoisePath,
     SmeConstants,
     TimeGrid,
     dynamics,
@@ -20,7 +19,7 @@ from reduction_lab import (
     variance_bound,
 )
 from reduction_lab.acceptance import random_instance
-from reduction_lab.errors import DimensionMismatch, StepDivergence
+from reduction_lab.errors import DimensionMismatch, NonFiniteInput, StepDivergence
 from reduction_lab.instances import INSTANCES, three_level
 from reduction_lab.spectral import DEFAULT_TOLS, moments, offdiag_norms, spectral_decompose
 
@@ -39,10 +38,6 @@ class TestTimeGrid:
         assert grid.n_steps == 1000
         assert grid.times()[0] == 0.0
         assert grid.times()[-1] == pytest.approx(1.0)
-
-    def test_inconsistent_step_count_rejected(self):
-        with pytest.raises(ValueError):
-            TimeGrid(t_max=1.0, dt=0.3, n_steps=3)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -128,9 +123,8 @@ class TestSmeStep:
 class TestSimulateSme:
     def test_closed_system_conserves_moments(self):
         grid = TimeGrid.from_duration(1.0, 1e-3)
-        noise = NoisePath(increments=np.zeros(grid.n_steps))
         traj = simulate_sme(coherent_qubit(), spectral_decompose(H2), sigma=0.0, hbar=1.0,
-                            grid=grid, noise=noise)
+                            grid=grid, dw=np.zeros(grid.n_steps))
         assert np.max(np.abs(traj.H - traj.H[0])) < 10 * grid.dt
         assert np.max(np.abs(traj.V - traj.V[0])) < 10 * grid.dt
         assert np.max(np.abs(traj.purity - traj.purity[0])) < 10 * grid.dt
@@ -139,7 +133,7 @@ class TestSimulateSme:
         rng = np.random.default_rng(4)
         grid = TimeGrid.from_duration(2.0, 1e-3)
         traj = simulate_sme(coherent_qubit(), spectral_decompose(H2), sigma=1.0, hbar=1.0,
-                            grid=grid, noise=sample_noise(grid, rng))
+                            grid=grid, dw=sample_noise(grid, rng))
         assert np.all(traj.H >= -1e-12)
         assert np.all(traj.H <= 1.0 + 1e-12)
 
@@ -187,9 +181,17 @@ class TestSimulateSme:
 
     def test_noise_grid_mismatch_rejected(self):
         grid = TimeGrid.from_duration(1.0, 1e-2)
-        with pytest.raises(DimensionMismatch):
-            simulate_sme(coherent_qubit(), spectral_decompose(H2), 1.0, 1.0, grid,
-                         NoisePath(increments=np.zeros(5)))
+        for dw in (np.zeros(5), np.zeros((grid.n_steps, 1)), np.zeros((1, grid.n_steps))):
+            with pytest.raises(DimensionMismatch):
+                simulate_sme(coherent_qubit(), spectral_decompose(H2), 1.0, 1.0, grid, dw)
+
+    def test_non_finite_increment_rejected(self):
+        grid = TimeGrid.from_duration(1.0, 1e-2)
+        for bad in (np.nan, np.inf):
+            dw = np.zeros(grid.n_steps)
+            dw[17] = bad
+            with pytest.raises(NonFiniteInput):
+                simulate_sme(coherent_qubit(), spectral_decompose(H2), 1.0, 1.0, grid, dw)
 
 
 def matrix_form_step(rho, h, sigma, hbar, dt, dw, tols=DEFAULT_TOLS):
@@ -218,10 +220,11 @@ def matrix_form_step(rho, h, sigma, hbar, dt, dw, tols=DEFAULT_TOLS):
 
 
 def matrix_form_path(rho0, h, sigma, hbar, grid, noise):
-    """States of the reference step along a noise path, and its clamp count."""
+    """States of the reference step along the Brownian increments noise, and
+    its clamp count."""
     states = [np.asarray(rho0, dtype=complex)]
     clamps = 0
-    for k, dw in enumerate(noise.increments):
+    for k, dw in enumerate(noise):
         try:
             state, clamped = matrix_form_step(states[-1], h, sigma, hbar, grid.dt, dw)
         except StepDivergence as exc:
@@ -288,7 +291,7 @@ class TestEigenbasisKernel:
         increments[6] = 0.8
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         with pytest.raises(StepDivergence) as caught:
-            simulate_sme(rho, spectral_decompose(H2), 1.0, 1.0, grid, NoisePath(increments=increments))
+            simulate_sme(rho, spectral_decompose(H2), 1.0, 1.0, grid, increments)
         assert caught.value.step == 6
         assert str(caught.value).startswith("step 6: ")
         # and says what to change

@@ -12,7 +12,6 @@ from reduction_lab import (
     closed_form_trajectory,
     default_horizon,
     luders_state,
-    make_information_path,
     moments,
     recovered_brownian,
     sample_noise,
@@ -81,20 +80,22 @@ class TestSampleTerminalEnergy:
             assert abs(counts[r] / n - p[r]) <= 3 * np.sqrt(p[r] * (1 - p[r]) / n)
 
 
-class TestInformationPath:
+class TestInformationProcess:
     def test_zero_noise_is_pure_drift(self):
         grid = TimeGrid.from_duration(1.0, 0.1)
-        path = make_information_path(1, SPEC2, sigma=2.0, grid=grid, noise=None)
-        assert np.allclose(path.xi, 2.0 * grid.times())
-        assert np.array_equal(path.xi, 2.0 * SPEC2.energies[1] * grid.times())
+        model = FilterModel(HALF, SPEC2, sigma=2.0)
+        xi = closed_form_trajectory(model, grid, 1, np.zeros(grid.n_steps)).xi
+        assert np.allclose(xi, 2.0 * grid.times())
+        assert np.array_equal(xi, 2.0 * SPEC2.energies[1] * grid.times())
 
     def test_increment_statistics(self):
         grid = TimeGrid.from_duration(1.0, 0.05)
         rng = np.random.default_rng(3)
+        model = FilterModel(HALF, SPEC2, 1.0)
         increments = []
         for _ in range(400):
-            path = make_information_path(1, SPEC2, 1.0, grid, sample_noise(grid, rng))
-            increments.append(np.diff(path.xi))
+            xi = closed_form_trajectory(model, grid, 1, sample_noise(grid, rng)).xi
+            increments.append(np.diff(xi))
         increments = np.concatenate(increments)
         drift = 1.0 * SPEC2.energies[1] * grid.dt
         n = increments.size
@@ -103,8 +104,9 @@ class TestInformationPath:
 
     def test_fixed_seed_reproducible(self):
         grid = TimeGrid.from_duration(1.0, 0.1)
-        a = make_information_path(0, SPEC2, 1.0, grid, sample_noise(grid, np.random.default_rng(7)))
-        b = make_information_path(0, SPEC2, 1.0, grid, sample_noise(grid, np.random.default_rng(7)))
+        model = FilterModel(HALF, SPEC2, 1.0)
+        a = closed_form_trajectory(model, grid, 0, sample_noise(grid, np.random.default_rng(7)))
+        b = closed_form_trajectory(model, grid, 0, sample_noise(grid, np.random.default_rng(7)))
         assert np.array_equal(a.xi, b.xi)
 
 
@@ -183,8 +185,7 @@ class TestClosedFormState:
     def test_strong_convergence_toward_integrated_sde(self):
         # the integrator driven by the reconstructed increments closes in on
         # the exact states as the step shrinks
-        from reduction_lab import NoisePath, simulate_sme
-        from reduction_lab.filtering import InformationPath
+        from reduction_lab import simulate_sme
 
         model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
         t_max, dt = 1.0, 4e-3
@@ -196,12 +197,9 @@ class TestClosedFormState:
         def run(b_incr, d):
             grid = TimeGrid.from_duration(t_max, d)
             times = grid.times()
-            b = np.zeros(grid.n_steps + 1)
-            b[1:] = np.cumsum(b_incr)
-            xi = model.energies[level] * times + b
-            path = InformationPath(grid, xi)
-            w = recovered_brownian(path, RHO_B, SPEC3, 1.0)
-            traj = simulate_sme(RHO_B, SPEC3, 1.0, 1.0, grid, NoisePath(increments=np.diff(w)))
+            xi = closed_form_trajectory(model, grid, level, b_incr).xi
+            w = recovered_brownian(model, grid, level, b_incr)
+            traj = simulate_sme(RHO_B, SPEC3, 1.0, 1.0, grid, np.diff(w))
             pi, log_z = model.posterior(times, xi)
             exact = model.assemble(times, pi, model.phi(times, xi, pi))
             return float(np.max(np.abs(traj.states - exact)))
@@ -241,17 +239,18 @@ class TestEnergyEstimate:
 
     def test_long_drifting_observation_converges(self):
         grid = TimeGrid.from_duration(60.0, 0.1)
-        path = make_information_path(1, SPEC3, 1.0, grid, sample_noise(grid, np.random.default_rng(8)))
-        est = energy_estimate(RHO_B, SPEC3, 1.0, grid.t_max, float(path.xi[-1]))
+        model = FilterModel(RHO_B, SPEC3, 1.0)
+        xi = closed_form_trajectory(model, grid, 1, sample_noise(grid, np.random.default_rng(8))).xi
+        est = energy_estimate(RHO_B, SPEC3, 1.0, grid.t_max, float(xi[-1]))
         assert est == pytest.approx(SPEC3.energies[1], abs=1e-6)
 
 
 class TestRecoveredBrownian:
     def test_sigma_zero_returns_observation(self):
         grid = TimeGrid.from_duration(1.0, 0.01)
-        path = make_information_path(0, SPEC2, 0.0, grid, sample_noise(grid, np.random.default_rng(9)))
-        w = recovered_brownian(path, HALF, SPEC2, 0.0)
-        assert np.array_equal(w, path.xi)
+        model = FilterModel(HALF, SPEC2, 0.0)
+        path = closed_form_trajectory(model, grid, 0, sample_noise(grid, np.random.default_rng(9)))
+        assert np.array_equal(path.w, path.xi)
 
     def test_reconstructed_noise_is_standard(self):
         # terminal mean ~ 0, terminal variance ~ T, increments uncorrelated
@@ -263,8 +262,7 @@ class TestRecoveredBrownian:
         lag_products = []
         for i in range(n):
             level = model.draw_level(rng.random())
-            path = make_information_path(level, SPEC2, 1.0, grid, sample_noise(grid, rng))
-            w = recovered_brownian(path, HALF, SPEC2, 1.0)
+            w = recovered_brownian(model, grid, level, sample_noise(grid, rng))
             terminals[i] = w[-1]
             dw = np.diff(w)
             lag_products.append(np.mean(dw[1:] * dw[:-1]))
@@ -276,8 +274,8 @@ class TestRecoveredBrownian:
 
     def test_starts_at_zero(self):
         grid = TimeGrid.from_duration(1.0, 0.1)
-        path = make_information_path(1, SPEC2, 1.0, grid, sample_noise(grid, np.random.default_rng(11)))
-        assert recovered_brownian(path, HALF, SPEC2, 1.0)[0] == 0.0
+        noise = sample_noise(grid, np.random.default_rng(11))
+        assert recovered_brownian(FilterModel(HALF, SPEC2, 1.0), grid, 1, noise)[0] == 0.0
 
 
 class TestPhiProcess:
@@ -369,8 +367,9 @@ class TestStateDecomposition:
         grid = TimeGrid.from_duration(150.0, 0.5)
         h, rho0 = degenerate()
         spec = spectral_decompose(h)
-        path = make_information_path(0, spec, 1.0, grid, sample_noise(grid, np.random.default_rng(16)))
-        out = state_decomposition(rho0, spec, 1.0, 1.0, grid.t_max, float(path.xi[-1]))
+        model = FilterModel(rho0, spec, 1.0)
+        xi = closed_form_trajectory(model, grid, 0, sample_noise(grid, np.random.default_rng(16))).xi
+        out = state_decomposition(rho0, spec, 1.0, 1.0, grid.t_max, float(xi[-1]))
         target = luders_state(rho0, spec, 0)
         assert np.max(np.abs(out - target)) < 1e-6
         assert np.vdot(out, out).real == pytest.approx(0.5, abs=1e-9)
@@ -455,17 +454,17 @@ class TestClosedFormTrajectory:
     def test_columns_consistent_with_pointwise_ops(self):
         grid = TimeGrid.from_duration(2.0, 0.1)
         model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
-        path = make_information_path(2, SPEC3, 1.0, grid, sample_noise(grid, np.random.default_rng(20)))
-        traj = closed_form_trajectory(model, path)
+        noise = sample_noise(grid, np.random.default_rng(20))
+        traj = closed_form_trajectory(model, grid, 2, noise)
         k = 7
-        t, xi = grid.times()[k], float(path.xi[k])
+        t, xi = grid.times()[k], float(traj.xi[k])
         pi, _ = model.posterior(t, xi)
         assert np.allclose(traj.pi[k], pi, atol=1e-12)
         state = closed_form_state(RHO_B, SPEC3, 1.0, 1.0, t, xi)
         assert traj.purity[k] == pytest.approx(np.vdot(state, state).real, abs=1e-10)
         assert traj.H[k] == pytest.approx(moments(state, H3).H, abs=1e-10)
         assert traj.V[k] == pytest.approx(moments(state, H3).V, abs=1e-10)
-        w = recovered_brownian(path, RHO_B, SPEC3, 1.0)
+        w = recovered_brownian(model, grid, 2, noise)
         assert np.array_equal(traj.w, w)
         for slot, phi in enumerate(model.phi(t, xi)):
             assert traj.offdiag[k, slot] == pytest.approx(phi * model.r0_norm[slot], rel=1e-12)
@@ -473,8 +472,7 @@ class TestClosedFormTrajectory:
     def test_states_assembled_from_columns_are_valid(self):
         grid = TimeGrid.from_duration(5.0, 0.05)
         model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
-        path = make_information_path(0, SPEC3, 1.0, grid, sample_noise(grid, np.random.default_rng(21)))
-        traj = closed_form_trajectory(model, path)
+        traj = closed_form_trajectory(model, grid, 0, sample_noise(grid, np.random.default_rng(21)))
         times = grid.times()
         states = model.assemble(times, traj.pi, model.phi(times, traj.xi, traj.pi))
         for k in range(0, grid.n_steps + 1, 25):

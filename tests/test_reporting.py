@@ -1,7 +1,7 @@
 import numpy as np
 
 from reduction_lab import FilterModel, TimeGrid, dynamics, spectral_decompose
-from reduction_lab.filtering import closed_form_trajectory, make_information_path
+from reduction_lab.filtering import closed_form_trajectory
 from reduction_lab.instances import degenerate
 from reduction_lab.reporting import fmt, trajectory_columns, write_csv
 
@@ -14,7 +14,7 @@ def test_sde_and_closed_form_share_one_record():
     noise = dynamics.sample_noise(grid, np.random.default_rng(5))
     sde = dynamics.simulate_sme(rho0, spec, 1.0, 1.0, grid, noise)
     model = FilterModel(rho0, spec, 1.0, 1.0)
-    closed = closed_form_trajectory(model, make_information_path(1, spec, 1.0, grid, noise))
+    closed = closed_form_trajectory(model, grid, 1, noise)
     assert type(sde) is type(closed) is dynamics.Trajectory
     assert closed.states is None and closed.repairs == 0
     assert sde.states.shape == (grid.n_steps + 1, 3, 3)
