@@ -78,6 +78,16 @@ def sample_noise(grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
     return _freeze(rng.standard_normal(grid.n_steps) * np.sqrt(grid.dt))
 
 
+def check_increments(dw, n_steps: int) -> np.ndarray:
+    """dw as an array, checked to hold n_steps finite Brownian increments."""
+    dw = np.asarray(dw)
+    if dw.shape != (n_steps,):
+        raise DimensionMismatch(dw.shape, (n_steps,))
+    if not np.all(np.isfinite(dw)):
+        raise NonFiniteInput("noise increments must be finite")
+    return dw
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Column record of one realization on a time grid, integrated by
@@ -198,12 +208,7 @@ def simulate_sme(
     then derive the records from the whole stack of states. The run is
     bitwise reproducible for fixed increments.
     """
-    dw = np.asarray(dw)
-    if dw.shape != (grid.n_steps,):
-        raise DimensionMismatch(dw.shape, (grid.n_steps,))
-    if not np.all(np.isfinite(dw)):
-        raise NonFiniteInput("noise increments must be finite")
-
+    dw = check_increments(dw, grid.n_steps)
     e, basis = spec.eigenvalues, spec.basis
     rho = validate_density(rho0)
     if rho.shape != basis.shape:

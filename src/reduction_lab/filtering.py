@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import TimeGrid, Trajectory, simulate_sme
-from .errors import DegenerateDistribution, NonFiniteInput, ZeroProbabilitySubspace
+from .dynamics import TimeGrid, Trajectory, check_increments, simulate_sme
+from .errors import DegenerateDistribution, NonFiniteInput, ValidationError, ZeroProbabilitySubspace
 from .spectral import (
     DEFAULT_TOLS,
     SpectralDecomposition,
@@ -106,10 +106,12 @@ def _phi_from_posterior(pi, p, pairs, out=None):
     pairs-first array to fill. Taken level by level, no product of two small
     weights can underflow; a level with p_r = 0 contributes 0."""
     levels = np.moveaxis(np.asarray(pi, dtype=float), -1, 0)
-    root = np.zeros(levels.shape)
-    for r in np.flatnonzero(p > 0):
-        np.divide(levels[r], p[r], out=root[r, ...])
-    np.sqrt(root, out=root)
+    root = np.empty(levels.shape)
+    for r in range(len(p)):
+        if p[r] > 0:
+            np.sqrt(np.divide(levels[r], p[r], out=root[r, ...]), out=root[r, ...])
+        else:
+            root[r, ...] = 0.0
     if out is None:
         out = np.empty((len(pairs),) + root.shape[1:])
     for slot, (n, m) in enumerate(pairs):
@@ -238,6 +240,9 @@ def closed_form_trajectory(model: "FilterModel", grid: TimeGrid, level: int, b) 
     xi_t = sigma t E_level + B_t on the grid, with B the running sum of b,
     the grid's n_steps Brownian increments (as dynamics.sample_noise draws
     them)."""
+    if not 0 <= level < model.spec.d:
+        raise ValidationError(f"level must be in [0, {model.spec.d}), got {level}")
+    b = check_increments(b, grid.n_steps)
     times = grid.times()
     path_b = np.zeros(grid.n_steps + 1)
     path_b[1:] = np.cumsum(b)

@@ -11,15 +11,16 @@ bitwise identical for a fixed seed regardless of how many worker threads
 are used (REDUCTION_LAB_THREADS caps the pool).
 
 Each chunk draws its noise in blocks of BLOCK time points and evaluates
-the filter on tiles of TILE points: one (K, CHUNK, TILE) buffer holds
-H, V, purity, pi_1..D and Phi per pair (3 + D + P rows), their squares and
-the V_{k-1} V_k products (K = 2 (3 + D + P) + 1), every row a contiguous
-slab for elementwise work, and one sum over its path axis gives every
-per-time sum of the tile. A worker thus holds K x CHUNK x TILE plus
-CHUNK x BLOCK floats at a time; on top of that a run keeps K x T per-time
-sums, one set per chunk in flight plus the total. Memory does not grow
-with n_paths x T, and neither BLOCK, TILE nor the thread count changes a
-bit of the output.
+the filter on tiles of TILE points: one (k + 1, CHUNK, TILE) buffer holds
+H, V, purity, pi_1..D and Phi per pair (k = 3 + D + P rows) and one spare
+row, for xi and then V_{k-1}, every row a contiguous slab for elementwise
+work. Three einsum reductions over the path axis give the per-time sums,
+sums of squares and V_{k-1} V_k sums of the tile, so the squares and cross
+products are never stored. A worker thus holds (k + 1) x CHUNK x TILE plus
+CHUNK x min(BLOCK, T) floats at a time; on top of that a run keeps
+(2k + 1) x T per-time sums, one set per chunk in flight plus the total.
+Memory does not grow with n_paths x T, and neither BLOCK, TILE nor the
+thread count changes a bit of the output.
 
 Every analytic claim about the dynamics gets a named check with a
 pass/fail verdict at CI_MULTIPLIER standard errors. The config carries two
@@ -42,9 +43,11 @@ from .errors import ReductionLabError
 from .filtering import FilterModel, level_cdf
 from .spectral import hermitian_part
 
+# BLOCK and TILE timed on the ensemble_fine grid (three_level, 4 096 x 10 001 points,
+# 2 threads, 2-core x86 VM): BLOCK 512 ran 9 % slower, TILE 32 29 % and TILE 128 5 %
 CHUNK = 512          # fixed so that chunking never depends on thread count
 BLOCK = 1024         # time points per noise block: one generator call per path
-TILE = 64            # time points per filter tile: 64 measured fastest of 8-256
+TILE = 64            # time points per filter tile
 CI_MULTIPLIER = 3.0  # a check passes within this many standard errors
 
 
@@ -198,19 +201,6 @@ def _trace_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a - b))), axis=-1)
 
 
-def _path_sums(rows: np.ndarray) -> np.ndarray:
-    """Sum a (rows, paths, times) tile over its path axis, adding the paths
-    in order.
-
-    numpy adds whole time rows one path after another, but sums a lone
-    time column pairwise; that column is therefore accumulated explicitly,
-    so that tile edges never change bits.
-    """
-    if rows.shape[2] == 1:
-        return np.add.accumulate(rows, axis=1)[:, -1]
-    return rows.sum(axis=1)
-
-
 def _run_chunk(cfg: RunConfig, model: FilterModel, times, check_idx, lo, hi):
     """Simulate paths [lo, hi) and return their partial sums.
 
@@ -230,13 +220,14 @@ def _run_chunk(cfg: RunConfig, model: FilterModel, times, check_idx, lo, hi):
     levels = model.draw_level(np.array([rng.random() for rng in rngs]), cdf)
     drift = cfg.drift_multiplier * cfg.sigma * model.energies[levels]
 
-    # rows: H, V, purity, pi_1..D, Phi per pair, their k squares, V_{i-1} V_i
+    # sums: H, V, purity, pi_1..D, Phi per pair, their k squares, V_{i-1} V_i;
+    # tile rows: the k values, then xi and, once xi is spent, V_{i-1}
     sums = np.zeros((2 * k + 1, n_times))
-    tile_buf = np.empty((2 * k + 1) * c * TILE)
+    tile_buf = np.empty((k + 1) * c * TILE)
     check_pi = np.empty((c, len(check_idx), d))
     check_phi = np.empty((c, len(check_idx), n_pairs))
 
-    noise = np.empty((c, BLOCK))
+    noise = np.empty((c, min(BLOCK, n_times)))
     b_last = np.zeros(c)
     v_last = np.zeros(c)      # its product lands in column 0, which is never read
     for start in range(0, n_times, BLOCK):
@@ -255,20 +246,28 @@ def _run_chunk(cfg: RunConfig, model: FilterModel, times, check_idx, lo, hi):
 
         for lead in range(start, stop, TILE):
             tail = min(lead + TILE, stop)
-            rows = tile_buf[:(2 * k + 1) * c * (tail - lead)].reshape(2 * k + 1, c, tail - lead)
+            rows = tile_buf[:(k + 1) * c * (tail - lead)].reshape(k + 1, c, tail - lead)
             t = times[lead:tail]
-            xi = drift[:, None] * t[None, :] + b[:, lead - start:tail - start]
+            xi = np.multiply(drift[:, None], t, out=rows[k])      # rows[k] is V_{i-1} below
+            xi += b[:, lead - start:tail - start]
             pi, _ = model.posterior(t, xi, out=rows[3:3 + d])     # (c, tile, D) view
             phi = model.phi(t, xi, pi, out=rows[3 + d:k])         # (c, tile, P) view
             h_path = model.energy(pi, out=rows[0])
             v_path = model.variance(pi, h_path, out=rows[1])
             purity = model.purity(pi, phi, out=rows[2])
-            np.square(rows[:k], out=rows[k:2 * k])
-            cross = rows[2 * k]
-            np.multiply(v_last, v_path[:, 0], out=cross[:, 0])
-            np.multiply(v_path[:, :-1], v_path[:, 1:], out=cross[:, 1:])
+            values, prev = rows[:k], rows[k]
+            prev[:, 0] = v_last
+            prev[:, 1:] = v_path[:, :-1]
             v_last = v_path[:, -1].copy()
-            sums[:, lead:tail] = _path_sums(rows)
+            # each sum adds the paths in index order; einsum would add a lone
+            # time column pairwise, so that one is accumulated explicitly
+            if tail - lead == 1:
+                terms = np.concatenate([values, values * values, (prev * v_path)[None]])
+                sums[:, lead:tail] = np.add.accumulate(terms, axis=1)[:, -1]
+            else:
+                np.einsum("rct->rt", values, out=sums[:k, lead:tail])
+                np.einsum("rct,rct->rt", values, values, out=sums[k:2 * k, lead:tail])
+                np.einsum("ct,ct->t", prev, v_path, out=sums[2 * k, lead:tail])
 
             inside = (check_idx >= lead) & (check_idx < tail)
             check_pi[:, inside] = pi[:, check_idx[inside] - lead]

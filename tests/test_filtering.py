@@ -20,7 +20,7 @@ from reduction_lab import (
     validate_density,
 )
 from reduction_lab.acceptance import random_instance
-from reduction_lab.errors import NonFiniteInput
+from reduction_lab.errors import DimensionMismatch, NonFiniteInput, ValidationError
 from reduction_lab.filtering import _normalize_log, level_cdf
 from reduction_lab.instances import three_level, two_level
 
@@ -477,3 +477,28 @@ class TestClosedFormTrajectory:
         states = model.assemble(times, traj.pi, model.phi(times, traj.xi, traj.pi))
         for k in range(0, grid.n_steps + 1, 25):
             validate_density(states[k])
+
+    def test_non_finite_increment_rejected(self):
+        grid = TimeGrid.from_duration(1.0, 0.1)
+        model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
+        for bad in (np.nan, np.inf):
+            b = np.zeros(grid.n_steps)
+            b[3] = bad
+            with pytest.raises(NonFiniteInput):
+                closed_form_trajectory(model, grid, 0, b)
+
+    @pytest.mark.parametrize("shape", [(12,), (10, 1), (1, 10)])
+    def test_increments_off_the_grid_rejected(self, shape):
+        grid = TimeGrid.from_duration(1.0, 0.1)
+        model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
+        with pytest.raises(DimensionMismatch):
+            closed_form_trajectory(model, grid, 0, np.zeros(shape))
+
+    @pytest.mark.parametrize("level", [7, 3, -1])
+    def test_level_outside_the_spectrum_rejected(self, level):
+        grid = TimeGrid.from_duration(1.0, 0.1)
+        model = FilterModel(RHO_B, SPEC3, 1.0, 1.0)
+        with pytest.raises(ValidationError, match="level"):
+            closed_form_trajectory(model, grid, level, np.zeros(grid.n_steps))
+        with pytest.raises(ValidationError, match="level"):
+            recovered_brownian(model, grid, level, np.zeros(grid.n_steps))

@@ -372,6 +372,55 @@ class TestTimeBlocks:
             with mock.patch.dict(os.environ, {"REDUCTION_LAB_THREADS": "2"}):
                 assert _summary_bytes(run_ensemble(cfg)) == reference
 
+    @pytest.mark.parametrize("instance", [two_level, three_level])
+    @pytest.mark.parametrize("tile", [1, 5, 64])
+    def test_paths_are_summed_in_index_order(self, instance, tile):
+        # every path's rows are evaluated on the whole grid with the same
+        # FilterModel calls and added one path after another; the kernel's
+        # sums must match that to the bit, the 1-path chunk included
+        h, rho0 = instance()
+        cfg = RunConfig(hamiltonian=h, rho0=rho0, t_max=3.2, dt=0.1, n_paths=513,
+                        seed=5, checks=(), check_times=(1.0,))
+        model, grid = cfg.resolve()
+        times = grid.times()
+        k = 3 + model.spec.d + len(model.pairs)
+        for lo, hi in ((0, 512), (512, 513)):
+            with mock.patch.object(harness, "TILE", tile):
+                sums = harness._run_chunk(cfg, model, times, np.array([10]), lo, hi)["sums"]
+            acc, acc_sq, acc_x = np.zeros((k, len(times))), np.zeros((k, len(times))), 0.0
+            for rng in path_rngs(cfg.seed, lo, hi):
+                level = model.draw_level(rng.random())
+                b = np.zeros(len(times))
+                b[1:] = rng.standard_normal(grid.n_steps) * np.sqrt(cfg.dt)
+                xi = cfg.sigma * model.energies[level] * times + np.cumsum(b)
+                pi, _ = model.posterior(times, xi)
+                phi = model.phi(times, xi, pi)
+                h_path = model.energy(pi)
+                v = model.variance(pi, h_path)
+                row = np.vstack([h_path, v, model.purity(pi, phi), pi.T, phi.T])
+                acc += row
+                acc_sq += row * row
+                acc_x += v[:-1] * v[1:]
+            assert np.array_equal(sums[:k], acc)
+            assert np.array_equal(sums[k:2 * k], acc_sq)
+            assert np.array_equal(sums[2 * k, 1:], acc_x)
+
+    def test_chunk_memory_gate(self):
+        # one full chunk on the ensemble_wide grid: the (k + 1, 512, 64) tile,
+        # the (512, 601) noise block and the (2k + 1, 601) sums
+        cfg = RunConfig(hamiltonian=H2, rho0=RHO_A, t_max=150.0, dt=0.25, n_paths=512,
+                        seed=1, checks=CHECK_NAMES, check_times=(0.5, 1.0, 2.0))
+        model, grid = cfg.resolve()
+        times = grid.times()
+        check_idx = np.searchsorted(times, cfg.check_times)
+        tracemalloc.start()
+        try:
+            harness._run_chunk(cfg, model, times, check_idx, 0, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6, peak
+
     def test_memory_does_not_grow_with_the_grid(self):
         # one (128, T, 3) float64 array on this grid is 307 MB
         cfg = RunConfig(
