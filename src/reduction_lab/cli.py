@@ -5,7 +5,7 @@ Subcommands:
              level and its Brownian increments, a plain array -> CSV (t,
              H_t, V_t, purity, xi, W, pi_r, |R_nm|); --mode sde and both
              integrate the SDE on those increments, print its gap to the
-             closed form, and its time and repair count on stderr
+             closed form, and its time, repair count and peak RSS on stderr
   ensemble   Monte Carlo run -> summary JSON + per-time CSV of means/stderrs
   lindblad   exact ensemble mean state -> CSV of matrix entries
   verify     built-in verification suite; nonzero exit on any failure
@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 import time
+from resource import RUSAGE_SELF, getrusage
 
 from . import acceptance
 from .config import MODES, RunConfig, parse_config
@@ -75,6 +76,8 @@ def cmd_simulate(args) -> int:
     out = _out_path(cfg, "trajectory.csv")
     write_csv(out, trajectory_columns(traj, model.spec))
     print(f"wrote {out} ({grid.n_steps + 1} rows)")
+    if cfg.mode != "closed-form":
+        print(f"peak RSS: {getrusage(RUSAGE_SELF).ru_maxrss * 1024 / 1e6:.1f} MB", file=sys.stderr)
     return 0
 
 

@@ -46,6 +46,8 @@ from .spectral import (
     validate_density,
 )
 
+ROW_BLOCK = 1024    # grid rows per pass of the SDE's records, its gap and the CSV rows
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -204,9 +206,9 @@ def simulate_sme(
     dw: np.ndarray,
 ) -> Trajectory:
     """Iterate sme_step along the grid in the eigenbasis of H, given as its
-    spectral decomposition, driven by the n_steps Brownian increments dw,
-    then derive the records from the whole stack of states. The run is
-    bitwise reproducible for fixed increments.
+    spectral decomposition, driven by the n_steps Brownian increments dw;
+    per ROW_BLOCK rows, derive the records, then rotate the rows in place:
+    Trajectory.states is the one stack. Bitwise reproducible for fixed dw.
     """
     dw = check_increments(dw, grid.n_steps)
     e, basis = spec.eigenvalues, spec.basis
@@ -224,16 +226,21 @@ def simulate_sme(
             raise StepDivergence(str(exc), step=k) from exc
         repairs += clamped
 
-    # in the eigenbasis the level projectors are index masks
+    # level projectors are index masks here; the diagonal is read before the rotation
     p = stack.diagonal(axis1=1, axis2=2).real
     h_series = p @ e
-    centered = e - h_series[:, None]
-    abs2 = stack.real**2 + stack.imag**2
     levels = [spec.level_index == r for r in range(spec.d)]
+    pi = np.stack([p[:, level].sum(axis=1) for level in levels], axis=1)
+    v = np.sum(p * (e - h_series[:, None])**2, axis=1)
     pairs = spec.pairs()
+    purity = np.empty(len(stack))
     offdiag = np.empty((len(stack), len(pairs)))
-    for slot, (n, m) in enumerate(pairs):
-        offdiag[:, slot] = np.sqrt(abs2[:, levels[n]][:, :, levels[m]].sum(axis=(1, 2)))
+    for rows in [slice(lo, lo + ROW_BLOCK) for lo in range(0, len(stack), ROW_BLOCK)]:
+        abs2 = stack[rows].real**2 + stack[rows].imag**2
+        purity[rows] = abs2.sum(axis=(1, 2))
+        for slot, (n, m) in enumerate(pairs):
+            offdiag[rows, slot] = np.sqrt(abs2[:, levels[n]][:, :, levels[m]].sum(axis=(1, 2)))
+        stack[rows] = hermitian_part(basis @ stack[rows] @ basis.conj().T)
 
     w = np.zeros(grid.n_steps + 1)
     np.cumsum(dw, out=w[1:])
@@ -248,12 +255,12 @@ def simulate_sme(
         grid=grid,
         xi=_freeze(xi),
         w=_freeze(w),
-        pi=_freeze(np.stack([p[:, level].sum(axis=1) for level in levels], axis=1)),
+        pi=_freeze(pi),
         H=_freeze(h_series),
-        V=_freeze(np.sum(p * centered**2, axis=1)),
-        purity=_freeze(abs2.sum(axis=(1, 2))),
+        V=_freeze(v),
+        purity=_freeze(purity),
         offdiag=_freeze(offdiag),
-        states=_freeze(hermitian_part(basis @ stack @ basis.conj().T)),
+        states=_freeze(stack),
         repairs=repairs,
     )
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import TimeGrid, Trajectory, check_increments, simulate_sme
+from .dynamics import ROW_BLOCK, TimeGrid, Trajectory, check_increments, simulate_sme
 from .errors import DegenerateDistribution, NonFiniteInput, ValidationError, ZeroProbabilitySubspace
 from .spectral import (
     DEFAULT_TOLS,
@@ -105,7 +105,7 @@ def _phi_from_posterior(pi, p, pairs, out=None):
     axis of pi (levels) and of the result (pairs); out, if given, is the
     pairs-first array to fill. Taken level by level, no product of two small
     weights can underflow; a level with p_r = 0 contributes 0."""
-    levels = np.moveaxis(np.asarray(pi, dtype=float), -1, 0)
+    levels = np.asarray(pi, dtype=float).transpose(-1, *range(np.ndim(pi) - 1))
     root = np.empty(levels.shape)
     for r in range(len(p)):
         if p[r] > 0:
@@ -116,7 +116,7 @@ def _phi_from_posterior(pi, p, pairs, out=None):
         out = np.empty((len(pairs),) + root.shape[1:])
     for slot, (n, m) in enumerate(pairs):
         np.multiply(root[n], root[m], out=out[slot, ...])
-    return np.moveaxis(out, 0, -1)
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def _level_dot(a, weights, out=None, squared=False):
@@ -182,13 +182,16 @@ def closed_form_state(
 def sde_gap(model: "FilterModel", closed: Trajectory) -> tuple:
     """Drive the SDE integrator with the Brownian increments recovered from
     a closed-form trajectory: (the SDE Trajectory, the max entrywise
-    |integrated - closed form| state gap per grid time)."""
-    sde = simulate_sme(
-        model.rho0, model.spec, model.sigma, model.hbar, closed.grid, np.diff(closed.w)
-    )
+    |integrated - closed form| gap per grid time, ROW_BLOCK states at a time)."""
+    sde = simulate_sme(model.rho0, model.spec, model.sigma, model.hbar, closed.grid,
+                       np.diff(closed.w))
     times = closed.grid.times()
-    exact = model.assemble(times, closed.pi, model.phi(times, closed.xi, closed.pi))
-    return sde, np.max(np.abs(sde.states - exact), axis=(1, 2))
+    phi = model.phi(times, closed.xi, closed.pi)
+    gap = np.empty(len(times))
+    for rows in [slice(lo, lo + ROW_BLOCK) for lo in range(0, len(times), ROW_BLOCK)]:
+        exact = model.assemble(times[rows], closed.pi[rows], phi[rows])
+        gap[rows] = np.max(np.abs(sde.states[rows] - exact), axis=(1, 2))
+    return sde, gap
 
 
 def recovered_brownian(model: "FilterModel", grid: TimeGrid, level: int, b) -> np.ndarray:
@@ -326,7 +329,7 @@ class FilterModel:
         array, out if given, so each pi[..., r] is one contiguous slab."""
         logw = _log_masses(self.log_p, self.energies, self.sigma, t, xi, out)
         pi, log_z = _normalize_log(logw, logw)
-        return np.moveaxis(pi, 0, -1), log_z
+        return pi.transpose(*range(1, pi.ndim), 0), log_z
 
     def phi(self, t, xi, pi=None, out=None) -> np.ndarray:
         """Phi_nm over the trailing pair axis (n < m pairs), from the

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .dynamics import ROW_BLOCK
 from .harness import CI_MULTIPLIER, EnsembleSummary
 from .spectral import SpectralDecomposition
 
@@ -48,13 +49,14 @@ def trajectory_columns(traj, spec: SpectralDecomposition) -> dict:
 def write_csv(path, columns: dict):
     """One row per index; every value through one "%.17g" row template,
     which prints the bytes of fmt at a fraction of its per-value cost.
-    Rows become Python floats 4 096 at a time, which bounds the memory."""
+    Rows are stacked from the columns ROW_BLOCK at a time, bounding memory."""
     template = ",".join(["%.17g"] * len(columns)) + "\n"
-    table = np.column_stack([np.asarray(a, dtype=float) for a in columns.values()])
+    arrays = [np.asarray(a, dtype=float) for a in columns.values()]
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(columns) + "\n")
-        for lo in range(0, len(table), 4096):
-            handle.writelines(template % tuple(row) for row in table[lo:lo + 4096].tolist())
+        for lo in range(0, max(map(len, arrays)), ROW_BLOCK):
+            rows = np.column_stack([a[lo:lo + ROW_BLOCK] for a in arrays]).tolist()
+            handle.writelines(template % tuple(row) for row in rows)
 
 
 def summary_columns(summary: EnsembleSummary) -> dict:

@@ -7,7 +7,10 @@ import pytest
 
 from reduction_lab import cli, config, run_ensemble
 from reduction_lab.config import parse_config
-from reduction_lab.reporting import summary_report
+from reduction_lab.dynamics import sample_noise
+from reduction_lab.filtering import closed_form_trajectory, sde_gap
+from reduction_lab.harness import path_rngs
+from reduction_lab.reporting import summary_report, trajectory_columns, write_csv
 
 BASE_CONFIG = {
     "instance": "three_level",
@@ -101,6 +104,27 @@ class TestSimulate:
         assert len(timing) == int(reports)
         assert "steps in" not in captured.out
         assert ("max |integrated - closed form|" in captured.out) is reports
+
+    @pytest.mark.parametrize("mode", ["sde", "both"])
+    def test_peak_rss_goes_to_stderr_only(self, tmp_path, capsys, mode):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "cli" / "trajectory.csv"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out.parent),
+                         "--mode", mode]) == 0
+        captured = capsys.readouterr()
+        assert len(re.findall(r"^peak RSS: \d+\.\d MB$", captured.err, flags=re.MULTILINE)) == 1
+        # stdout and the CSV are those of the library route, byte for byte
+        cfg = parse_config((tmp_path / "run.json").read_text())
+        model, grid = cfg.resolve()
+        rng = path_rngs(cfg.seed, 0, 1)[0]
+        closed = closed_form_trajectory(model, grid, model.draw_level(rng.random()),
+                                        sample_noise(grid, rng))
+        sde, gap = sde_gap(model, closed)
+        assert captured.out == (f"max |integrated - closed form| over the grid: {gap.max():.3e}\n"
+                                f"wrote {out} (201 rows)\n")
+        write_csv(tmp_path / "library.csv", trajectory_columns(sde if mode == "sde" else closed,
+                                                               model.spec))
+        assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_sde_mode_is_path_0(self, tmp_path, seed):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sme_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,14 +16,16 @@ from reduction_lab import (
     moments,
     recovered_brownian,
     sample_noise,
+    sde_gap,
     spectral_decompose,
     state_decomposition,
     validate_density,
 )
 from reduction_lab.acceptance import random_instance
+from reduction_lab.dynamics import ROW_BLOCK
 from reduction_lab.errors import DimensionMismatch, NonFiniteInput, ValidationError
 from reduction_lab.filtering import _normalize_log, level_cdf
-from reduction_lab.instances import three_level, two_level
+from reduction_lab.instances import INSTANCES, three_level, two_level
 
 H2, RHO_A = two_level()
 SPEC2 = spectral_decompose(H2)
@@ -502,3 +505,25 @@ class TestClosedFormTrajectory:
             closed_form_trajectory(model, grid, level, np.zeros(grid.n_steps))
         with pytest.raises(ValidationError, match="level"):
             recovered_brownian(model, grid, level, np.zeros(grid.n_steps))
+
+
+class TestSdeGap:
+    """sde_gap assembles the exact states ROW_BLOCK grid times at a time;
+    its gap must be the whole-grid one of tests/sme_oracle.py bit for bit,
+    across several blocks and a partial last one."""
+
+    @pytest.mark.parametrize("name, sigma, dt, n_steps", [
+        ("three_level", 1.0, 1e-3, 3000),
+        ("degenerate", 1.0, 1e-3, 2 * ROW_BLOCK),    # a last block of one row
+        ("three_level", 4.0, 2e-3, 2500),            # a run the clamp repairs
+    ])
+    def test_blocks_give_the_whole_grid_gap(self, name, sigma, dt, n_steps):
+        h, rho0 = INSTANCES[name]()
+        model = FilterModel(rho0, spectral_decompose(h), sigma, 1.0)
+        grid = TimeGrid(dt=dt, n_steps=n_steps)
+        noise = sample_noise(grid, np.random.default_rng(0))
+        closed = closed_form_trajectory(model, grid, model.spec.d - 1, noise)
+        sde, gap = sde_gap(model, closed)
+        expected = sme_oracle.gap(model, closed, sde.states)
+        assert np.array_equal(gap.view(np.uint64), expected.view(np.uint64))
+        assert sigma < 4.0 or sde.repairs > 0
