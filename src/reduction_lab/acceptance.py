@@ -79,44 +79,27 @@ def _result(number, claim, passed, measured, threshold, **details):
 # shared ensembles
 
 
+def _reference_ensemble(instance, t_max, dt, seed, checks, n_paths=10_000, **extra):
+    """run_ensemble on a built-in instance; extra goes to RunConfig."""
+    h, rho0 = instance()
+    return run_ensemble(RunConfig(hamiltonian=h, rho0=rho0, t_max=t_max, dt=dt,
+                                  n_paths=n_paths, seed=seed, checks=checks, **extra))
+
+
 def ensemble_a() -> "EnsembleSummary":
-    h, rho0 = two_level()
-    cfg = RunConfig(
-        hamiltonian=h,
-        rho0=rho0,
-        t_max=150.0, dt=0.25,
-        n_paths=10_000,
-        seed=SEED_A,
-        checks=("martingales", "variance_decay", "luders"),
-        check_times=(0.5, 1.0, 2.0),
-    )
-    return run_ensemble(cfg)
+    return _reference_ensemble(two_level, 150.0, 0.25, SEED_A,
+                               ("martingales", "variance_decay", "luders"),
+                               check_times=(0.5, 1.0, 2.0))
 
 
 def ensemble_b() -> "EnsembleSummary":
-    h, rho0 = three_level()
-    cfg = RunConfig(
-        hamiltonian=h,
-        rho0=rho0,
-        t_max=60.0, dt=0.05,
-        n_paths=10_000,
-        seed=SEED_B,
-        checks=("born", "martingales", "decoherence"),
-    )
-    return run_ensemble(cfg)
+    return _reference_ensemble(three_level, 60.0, 0.05, SEED_B,
+                               ("born", "martingales", "decoherence"))
 
 
 def ensemble_c() -> "EnsembleSummary":
-    h, rho0 = degenerate()
-    cfg = RunConfig(
-        hamiltonian=h,
-        rho0=rho0,
-        t_max=150.0, dt=0.5,
-        n_paths=10_000,
-        seed=SEED_C,
-        checks=("born", "martingales", "luders"),
-    )
-    return run_ensemble(cfg)
+    return _reference_ensemble(degenerate, 150.0, 0.5, SEED_C,
+                               ("born", "martingales", "luders"))
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +372,10 @@ def criterion_determinism(runs) -> CriterionResult:
 
 
 def criterion_negative_controls() -> CriterionResult:
-    h2, rho2 = two_level()
-    doubled = run_ensemble(
-        RunConfig(
-            hamiltonian=h2, rho0=rho2,
-            t_max=10.0, dt=0.1,
-            n_paths=2000, seed=SEED_CONTROL,
-            checks=("martingales",), drift_multiplier=2.0,
-        )
-    )
-    h3, rho3 = three_level()
-    biased = run_ensemble(
-        RunConfig(
-            hamiltonian=h3, rho0=rho3,
-            t_max=30.0, dt=0.5,
-            n_paths=2000, seed=SEED_CONTROL,
-            checks=("born",), sampler_bias=(0.5, 0.25, 0.25),
-        )
-    )
+    doubled = _reference_ensemble(two_level, 10.0, 0.1, SEED_CONTROL, ("martingales",),
+                                  n_paths=2000, drift_multiplier=2.0)
+    biased = _reference_ensemble(three_level, 30.0, 0.5, SEED_CONTROL, ("born",),
+                                 n_paths=2000, sampler_bias=(0.5, 0.25, 0.25))
     drift_fails = not doubled.checks["martingales"].passed
     bias_fails = not biased.checks["born"].passed
     return _result(

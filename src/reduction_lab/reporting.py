@@ -49,12 +49,16 @@ def trajectory_columns(traj, spec: SpectralDecomposition) -> dict:
 def write_csv(path, columns: dict):
     """One row per index; every value through one "%.17g" row template,
     which prints the bytes of fmt at a fraction of its per-value cost.
-    Rows are stacked from the columns ROW_BLOCK at a time, bounding memory."""
+    Rows are stacked from the columns ROW_BLOCK at a time, bounding memory.
+    Columns of unequal length raise ValueError before the file is opened."""
     template = ",".join(["%.17g"] * len(columns)) + "\n"
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
+    lengths = {name: len(a) for name, a in zip(columns, arrays)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(columns) + "\n")
-        for lo in range(0, max(map(len, arrays)), ROW_BLOCK):
+        for lo in range(0, max(lengths.values(), default=0), ROW_BLOCK):
             rows = np.column_stack([a[lo:lo + ROW_BLOCK] for a in arrays]).tolist()
             handle.writelines(template % tuple(row) for row in rows)
 

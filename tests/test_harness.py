@@ -331,6 +331,21 @@ def _summary_bytes(summary):
     )
 
 
+def _path_rows(cfg, model, grid, lo, hi):
+    """Each path's (k, T) rows H, V, purity, pi_1..D, Phi per pair, evaluated
+    on the whole grid with the same FilterModel calls, path by path."""
+    times = grid.times()
+    for rng in path_rngs(cfg.seed, lo, hi):
+        level = model.draw_level(rng.random())
+        b = np.zeros(len(times))
+        b[1:] = rng.standard_normal(grid.n_steps) * np.sqrt(cfg.dt)
+        xi = cfg.sigma * model.energies[level] * times + np.cumsum(b)
+        pi, _ = model.posterior(times, xi)
+        phi = model.phi(times, xi, pi)
+        h_path = model.energy(pi)
+        yield np.vstack([h_path, model.variance(pi, h_path), model.purity(pi, phi), pi.T, phi.T])
+
+
 class TestTimeBlocks:
     """The chunk sweep through time in blocks of harness.BLOCK points must
     not change a bit of the output, wherever the block edges fall."""
@@ -388,22 +403,55 @@ class TestTimeBlocks:
             with mock.patch.object(harness, "TILE", tile):
                 sums = harness._run_chunk(cfg, model, times, np.array([10]), lo, hi)["sums"]
             acc, acc_sq, acc_x = np.zeros((k, len(times))), np.zeros((k, len(times))), 0.0
-            for rng in path_rngs(cfg.seed, lo, hi):
-                level = model.draw_level(rng.random())
-                b = np.zeros(len(times))
-                b[1:] = rng.standard_normal(grid.n_steps) * np.sqrt(cfg.dt)
-                xi = cfg.sigma * model.energies[level] * times + np.cumsum(b)
-                pi, _ = model.posterior(times, xi)
-                phi = model.phi(times, xi, pi)
-                h_path = model.energy(pi)
-                v = model.variance(pi, h_path)
-                row = np.vstack([h_path, v, model.purity(pi, phi), pi.T, phi.T])
+            for row in _path_rows(cfg, model, grid, lo, hi):
                 acc += row
                 acc_sq += row * row
-                acc_x += v[:-1] * v[1:]
+                acc_x += row[1, :-1] * row[1, 1:]
             assert np.array_equal(sums[:k], acc)
             assert np.array_equal(sums[k:2 * k], acc_sq)
             assert np.array_equal(sums[2 * k, 1:], acc_x)
+
+    def test_chunk_parts_hold_no_per_path_array(self):
+        # every part is a path sum, so a 512-path chunk and a 1-path chunk
+        # return arrays of the same shapes
+        cfg = RunConfig(hamiltonian=H3, rho0=RHO_B, t_max=3.2, dt=0.1, n_paths=513,
+                        seed=5, checks=(), check_times=(1.0,))
+        model, grid = cfg.resolve()
+        shapes = [
+            {name: np.shape(a) for name, a in
+             harness._run_chunk(cfg, model, grid.times(), np.array([10]), lo, hi).items()}
+            for lo, hi in ((0, 512), (512, 513))
+        ]
+        assert shapes[0] == shapes[1]
+
+    @pytest.mark.parametrize("instance", [two_level, three_level])
+    def test_terminal_stats_match_the_two_pass_formulas(self, instance):
+        # the terminal moments come from chunk sums of (H_T - h0)^j; the
+        # reference takes them from the per-path H_T and V_T
+        h, rho0 = instance()
+        cfg = RunConfig(hamiltonian=h, rho0=rho0, t_max=3.2, dt=0.1, n_paths=1100,
+                        seed=5, checks=())
+        summary = run_ensemble(cfg)
+        model, grid = cfg.resolve()
+        rows = list(_path_rows(cfg, model, grid, 0, cfg.n_paths))
+        h_t = np.array([row[0, -1] for row in rows])
+        v_t = np.array([row[1, -1] for row in rows])
+        n = len(h_t)
+        centered = h_t - np.mean(h_t)
+        m2, m4 = np.mean(centered**2), np.mean(centered**4)
+        term = summary.terminal
+        assert term["h_var"] == pytest.approx(np.var(h_t, ddof=1), rel=1e-12, abs=0)
+        # m4 - m2^2 cancels where H_T splits 50/50 between two values
+        assert abs(term["h_var_se"] - np.sqrt(max(m4 - m2**2, 0.0) / n)) <= 1e-12
+        assert term["h_mean"] == pytest.approx(np.mean(h_t), rel=1e-12)
+        assert term["h_se"] == pytest.approx(np.std(h_t, ddof=1) / np.sqrt(n), rel=1e-12)
+        assert term["v_mean"] == pytest.approx(np.mean(v_t), rel=1e-12)
+        assert term["v_se"] == pytest.approx(np.std(v_t, ddof=1) / np.sqrt(n), rel=1e-12)
+        # the means and SEs are the series' last entries, bit for bit
+        assert term["h_mean"] == summary.h_series.mean[-1]
+        assert term["h_se"] == summary.h_series.se[-1]
+        assert term["v_mean"] == summary.v_series.mean[-1]
+        assert term["v_se"] == summary.v_series.se[-1]
 
     def test_chunk_memory_gate(self):
         # one full chunk on the ensemble_wide grid: the (k + 1, 512, 64) tile,

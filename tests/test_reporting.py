@@ -59,9 +59,12 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
 @pytest.mark.parametrize("lengths", [(1024, 1500), (1500, 1024), (3, 2)])
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path, lengths):
     # blocks of a row range that one column ends inside must not drop its tail
+    # and the lengths are compared before the file is opened, so none is left
     columns = {f"c{i}": np.zeros(n) for i, n in enumerate(lengths)}
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "out.csv", columns)
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"'c0': {lengths[0]}, 'c1': {lengths[1]}"):
+        write_csv(path, columns)
+    assert not path.exists()
 
 
 class TestSdeBothMemory:
