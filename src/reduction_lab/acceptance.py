@@ -36,7 +36,7 @@ from .filtering import (
     sde_gap,
     state_decomposition,
 )
-from .harness import CI_MULTIPLIER, run_ensemble
+from .harness import CI_MULTIPLIER, _z, run_ensemble
 from .instances import degenerate, three_level, two_level
 from .spectral import spectral_decompose
 
@@ -76,7 +76,8 @@ def _result(number, claim, passed, measured, threshold, **details):
 
 
 # ---------------------------------------------------------------------------
-# shared ensembles
+# shared ensembles: each runs only the checks its rows read (criterion 3
+# reads the terminal block, which every run fills)
 
 
 def _reference_ensemble(instance, t_max, dt, seed, checks, n_paths=10_000, **extra):
@@ -87,19 +88,16 @@ def _reference_ensemble(instance, t_max, dt, seed, checks, n_paths=10_000, **ext
 
 
 def ensemble_a() -> "EnsembleSummary":
-    return _reference_ensemble(two_level, 150.0, 0.25, SEED_A,
-                               ("martingales", "variance_decay", "luders"),
+    return _reference_ensemble(two_level, 150.0, 0.25, SEED_A, ("variance_decay",),
                                check_times=(0.5, 1.0, 2.0))
 
 
 def ensemble_b() -> "EnsembleSummary":
-    return _reference_ensemble(three_level, 60.0, 0.05, SEED_B,
-                               ("born", "martingales", "decoherence"))
+    return _reference_ensemble(three_level, 60.0, 0.05, SEED_B, ("born", "decoherence"))
 
 
 def ensemble_c() -> "EnsembleSummary":
-    return _reference_ensemble(degenerate, 150.0, 0.5, SEED_C,
-                               ("born", "martingales", "luders"))
+    return _reference_ensemble(degenerate, 150.0, 0.5, SEED_C, ("luders",))
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +105,10 @@ def ensemble_c() -> "EnsembleSummary":
 
 
 def _sde_vs_closed_form(model, level, grid, b):
-    """Entrywise gap between the integrated SDE (driven by the reconstructed
-    Brownian increments) and the exact states: (max over grid, RMS over grid)."""
+    """Largest entrywise gap over the grid between the integrated SDE (driven
+    by the reconstructed Brownian increments) and the exact states."""
     _, per_time = sde_gap(model, closed_form_trajectory(model, grid, level, b))
-    return float(per_time.max()), float(np.sqrt(np.mean(per_time**2)))
+    return float(per_time.max())
 
 
 def criterion_oracle_equivalence() -> CriterionResult:
@@ -125,10 +123,8 @@ def criterion_oracle_equivalence() -> CriterionResult:
     dw_fine = sample_noise(fine, rng)
     coarse = dw_fine.reshape(-1, 2).sum(axis=1)
 
-    err_coarse, rms_coarse = _sde_vs_closed_form(
-        model, level, TimeGrid.from_duration(t_max, dt), coarse
-    )
-    err_fine, rms_fine = _sde_vs_closed_form(model, level, fine, dw_fine)
+    err_coarse = _sde_vs_closed_form(model, level, TimeGrid.from_duration(t_max, dt), coarse)
+    err_fine = _sde_vs_closed_form(model, level, fine, dw_fine)
     ratio = err_fine / err_coarse
     return _result(
         1,
@@ -139,7 +135,6 @@ def criterion_oracle_equivalence() -> CriterionResult:
         err_coarse=err_coarse,
         err_fine=err_fine,
         ratio=ratio,
-        rms_ratio=rms_fine / rms_coarse,
     )
 
 
@@ -163,8 +158,8 @@ def criterion_born(summary) -> CriterionResult:
 def criterion_terminal_moments(summary) -> CriterionResult:
     model = summary.model
     term = summary.terminal
-    z_mean = abs(term["h_mean"] - model.h0) / term["h_se"]
-    z_var = abs(term["h_var"] - model.v0) / term["h_var_se"]
+    z_mean = float(_z(abs(term["h_mean"] - model.h0), term["h_se"]))
+    z_var = float(_z(abs(term["h_var"] - model.v0), term["h_var_se"]))
     ci = CI_MULTIPLIER
     return _result(
         3,

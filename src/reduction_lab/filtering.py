@@ -80,21 +80,18 @@ def _normalize_log(logw, out=None):
     with all exponentials <= 1; the probabilities go to out if given, which
     may be logw itself.
 
-    The max and the sum run as loops over the levels. That gives the bits
-    of a reduction over a trailing level axis: the max is exact, and numpy
-    adds fewer than 8 terms left to right.
+    The max and the sum run as loops over the levels, the sum left to right.
+    Below 8 levels that gives the bits of numpy's reduction over a trailing
+    level axis.
     """
     top = logw[0, ...].copy()
     for level in logw[1:]:
         np.maximum(top, level, out=top)
     w = np.subtract(logw, top, out=out)
     np.exp(w, out=w)
-    if len(w) < 8:
-        z = w[0, ...].copy()
-        for level in w[1:]:
-            z += level
-    else:
-        z = np.sum(np.ascontiguousarray(np.moveaxis(w, 0, -1)), axis=-1)
+    z = w[0, ...].copy()
+    for level in w[1:]:
+        z += level
     w /= z
     top += np.log(z)
     return w, top

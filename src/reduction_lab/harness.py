@@ -375,8 +375,8 @@ def _paired_step_stats(v, v_sq, v_cross, n: int) -> SeriesStats:
 
 def _terminal_stats(h_series, v_series, h_pow, n: int) -> dict:
     """Terminal energy and variance: the means and SEs are the series' last
-    entries; the sample variance of H_T and its SE, sqrt((m4 - m2^2) / n),
-    come from the path sums of (H_T - h0)^j, j = 1..4."""
+    entries; the sample variance of H_T and its finite-n SE (positive for any
+    spread, as m4 >= m2^2) come from the path sums of (H_T - h0)^j, j = 1..4."""
     var = var_se = float("nan")
     if n > 1:
         shift = h_pow[0] / n                    # sample mean of H_T - h0
@@ -384,7 +384,7 @@ def _terminal_stats(h_series, v_series, h_pow, n: int) -> dict:
         m2 = s2 - shift**2
         m4 = s4 - 4.0 * shift * s3 + 6.0 * shift**2 * s2 - 3.0 * shift**4
         var = float(m2 * n / (n - 1))
-        var_se = float(np.sqrt(max(m4 - m2**2, 0.0) / n))
+        var_se = float(np.sqrt(max(m4 / n - m2**2 * (n - 3) / (n * (n - 1)), 0.0)))
     return {
         "h_mean": float(h_series.mean[-1]),
         "h_se": float(h_series.se[-1]),

@@ -7,18 +7,40 @@ import threading
 import time
 import types
 
+import numpy as np
 import pytest
 
-from reduction_lab import RunConfig, ToleranceSet, Verdict, acceptance, cli, spectral_decompose
+from reduction_lab import (
+    FilterModel,
+    RunConfig,
+    TimeGrid,
+    ToleranceSet,
+    Verdict,
+    acceptance,
+    cli,
+    spectral_decompose,
+)
 from reduction_lab.errors import ReductionLabError
-from reduction_lab.instances import two_level
+from reduction_lab.instances import three_level, two_level
 
 
 @pytest.fixture(scope="module")
 def timed_run():
-    started = time.perf_counter()
-    rows = acceptance.run_all()
-    yield rows, time.perf_counter() - started
+    """run_all once, timed; run_ensemble is spied on to record the checks
+    each ensemble requests, keyed by its seed."""
+    requested = {}
+    run_ensemble = acceptance.run_ensemble
+
+    def spy(cfg):
+        requested.setdefault(cfg.seed, []).append(cfg.checks)
+        return run_ensemble(cfg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance, "run_ensemble", spy)
+        started = time.perf_counter()
+        rows = acceptance.run_all()
+        wall_s = time.perf_counter() - started
+    yield rows, wall_s, requested
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +59,13 @@ def test_criteria_are_numbered_one_to_ten(rows):
     assert [r.number for r in rows] == list(range(1, 11))
 
 
+def test_reference_ensembles_run_only_the_checks_their_rows_read(timed_run):
+    requested = timed_run[2]
+    assert requested[acceptance.SEED_A] == [("variance_decay",)]
+    assert requested[acceptance.SEED_B] == [("born", "decoherence")]
+    assert requested[acceptance.SEED_C] == [("luders",)]
+
+
 def _assert_criterion(results, number):
     r = results[number]
     status = "PASS" if r.passed else "FAIL"
@@ -52,6 +81,16 @@ def test_criterion_01_oracle_equivalence(results):
     assert r.details["err_coarse"] < 5e-3
     assert 0.35 <= r.details["ratio"] <= 0.75
     assert r.runtime_s < 10.0
+    assert set(r.details) == {"err_coarse", "err_fine", "ratio"}
+
+
+def test_sde_vs_closed_form_returns_the_max_gap_alone():
+    h, rho0 = three_level()
+    model = FilterModel(rho0, spectral_decompose(h), sigma=1.0, hbar=1.0)
+    grid = TimeGrid.from_duration(0.1, 1e-2)
+    b = np.random.default_rng(0).standard_normal(grid.n_steps) * 0.1
+    gap = acceptance._sde_vs_closed_form(model, 1, grid, b)
+    assert isinstance(gap, float) and 0.0 < gap < 1e-2
 
 
 def test_criterion_02_born_rule(results):
@@ -64,6 +103,20 @@ def test_criterion_03_terminal_moments(results):
     r = results[3]
     assert r.details["z_mean"] <= 3.0
     assert r.details["z_var"] <= 3.0
+
+
+def test_criterion_03_takes_zero_standard_errors_through_the_z_rule():
+    # a zero SE demands an exact match (z = 0) and makes any miss infinite,
+    # by harness._z's rule, where a hand division would raise
+    model = types.SimpleNamespace(h0=1.25, v0=0.6875)
+    exact = {"h_mean": 1.25, "h_se": 0.0, "h_var": 0.6875, "h_var_se": 0.0}
+    r = acceptance.criterion_terminal_moments(types.SimpleNamespace(model=model, terminal=exact))
+    assert r.passed
+    assert r.details == {"z_mean": 0.0, "z_var": 0.0}
+    missed = dict(exact, h_var=0.7)
+    r = acceptance.criterion_terminal_moments(types.SimpleNamespace(model=model, terminal=missed))
+    assert not r.passed
+    assert r.details == {"z_mean": 0.0, "z_var": float("inf")}
 
 
 def test_criterion_04_variance_decay(results):
@@ -140,7 +193,7 @@ def test_criterion_09_determinism(results):
 def test_runtimes_add_up_to_the_run(timed_run):
     # each second of run_all is charged to one criterion at most once: the
     # lane's time shows only as criterion 9's wait for it
-    rows, wall_s = timed_run
+    rows, wall_s, _ = timed_run
     charged = sum(r.runtime_s for r in rows)
     assert charged <= wall_s
     assert wall_s - charged < 0.1

@@ -149,8 +149,9 @@ class TestFilterWeights:
 class TestNormalizeLog:
     @pytest.mark.parametrize("d", [2, 3, 7, 8, 9])
     def test_matches_a_trailing_axis_reduction_bit_for_bit(self, d):
-        # the level loops must give exactly the bits of np.max / np.sum over
-        # a contiguous trailing level axis, for short and long level axes
+        # the level loops must give exactly the bits of np.max and of a
+        # left-to-right sum over a trailing level axis, for short and long
+        # level axes; below 8 levels that sum is numpy's own
         rng = np.random.default_rng(d)
         logw = rng.standard_normal((d, 40, 30)) * 50.0
         logw[1, :5] = -np.inf                       # an unpopulated level
@@ -158,7 +159,11 @@ class TestNormalizeLog:
         trailing = np.ascontiguousarray(np.moveaxis(logw, 0, -1))
         top = np.max(trailing, axis=-1, keepdims=True)
         w = np.exp(trailing - top)
-        z = np.sum(w, axis=-1, keepdims=True)
+        z = w[..., :1].copy()
+        for k in range(1, d):
+            z += w[..., k:k + 1]
+        if d < 8:
+            assert np.array_equal(z, np.sum(w, axis=-1, keepdims=True))
         assert np.array_equal(np.moveaxis(pi, 0, -1), w / z)
         assert np.array_equal(log_z, (top + np.log(z))[..., 0])
 

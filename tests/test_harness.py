@@ -441,8 +441,8 @@ class TestTimeBlocks:
         m2, m4 = np.mean(centered**2), np.mean(centered**4)
         term = summary.terminal
         assert term["h_var"] == pytest.approx(np.var(h_t, ddof=1), rel=1e-12, abs=0)
-        # m4 - m2^2 cancels where H_T splits 50/50 between two values
-        assert abs(term["h_var_se"] - np.sqrt(max(m4 - m2**2, 0.0) / n)) <= 1e-12
+        finite_n_se = np.sqrt(m4 / n - m2**2 * (n - 3) / (n * (n - 1)))
+        assert abs(term["h_var_se"] - finite_n_se) <= 1e-12
         assert term["h_mean"] == pytest.approx(np.mean(h_t), rel=1e-12)
         assert term["h_se"] == pytest.approx(np.std(h_t, ddof=1) / np.sqrt(n), rel=1e-12)
         assert term["v_mean"] == pytest.approx(np.mean(v_t), rel=1e-12)
@@ -452,6 +452,17 @@ class TestTimeBlocks:
         assert term["h_se"] == summary.h_series.se[-1]
         assert term["v_mean"] == summary.v_series.mean[-1]
         assert term["v_se"] == summary.v_series.se[-1]
+
+    @pytest.mark.parametrize("n", [2, 40960])
+    def test_a_symmetric_two_point_terminal_energy_has_a_nonzero_var_se(self, n):
+        # H_T = h0 -+ 1/2 on exactly n/2 paths each: m4 = m2^2 = 1/16, where
+        # the asymptotic sqrt((m4 - m2^2) / n) is 0; the finite-n SE of the
+        # sample variance is 1 / sqrt(8 n (n - 1))
+        half = np.where(np.arange(n) % 2 == 0, -0.5, 0.5)
+        h_pow = np.array([np.sum(half**j) for j in range(1, 5)])
+        ends = harness.SeriesStats(np.zeros(1), np.zeros(1))
+        term = harness._terminal_stats(ends, ends, h_pow, n)
+        assert term["h_var_se"] == pytest.approx(1.0 / np.sqrt(8.0 * n * (n - 1)), rel=1e-12)
 
     def test_chunk_memory_gate(self):
         # one full chunk on the ensemble_wide grid: the (k + 1, 512, 64) tile,
