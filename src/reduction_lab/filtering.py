@@ -76,9 +76,8 @@ def _log_masses(log_p, energies, sigma, t, xi, out=None):
 
 
 def _normalize_log(logw, out=None):
-    """Return (probabilities, log normalizer) over the leading level axis,
-    with all exponentials <= 1; the probabilities go to out if given, which
-    may be logw itself.
+    """Return the probabilities over the leading level axis, with all
+    exponentials <= 1, into out if given, which may be logw itself.
 
     The max and the sum run as loops over the levels, the sum left to right.
     Below 8 levels that gives the bits of numpy's reduction over a trailing
@@ -93,8 +92,7 @@ def _normalize_log(logw, out=None):
     for level in w[1:]:
         z += level
     w /= z
-    top += np.log(z)
-    return w, top
+    return w
 
 
 def _phi_from_posterior(pi, p, pairs, out=None):
@@ -218,7 +216,7 @@ def state_decomposition(
     if not (np.isfinite(t) and np.isfinite(xi_t)):
         raise NonFiniteInput(f"t={t}, xi={xi_t}")
     model = FilterModel(rho0, spec, sigma, hbar)
-    pi, _ = model.posterior(t, xi_t)
+    pi = model.posterior(t, xi_t)
     state = model.assemble(t, pi, model.phi(t, xi_t, pi))
     return validate_density(hermitian_part(state))
 
@@ -247,7 +245,7 @@ def closed_form_trajectory(model: "FilterModel", grid: TimeGrid, level: int, b) 
     path_b = np.zeros(grid.n_steps + 1)
     path_b[1:] = np.cumsum(b)
     xi = _freeze(model.sigma * float(model.energies[level]) * times + path_b)
-    pi, _ = model.posterior(times, xi)
+    pi = model.posterior(times, xi)
     phi = model.phi(times, xi, pi)
     h_path = model.energy(pi)
     w = np.empty_like(xi)
@@ -259,7 +257,7 @@ def closed_form_trajectory(model: "FilterModel", grid: TimeGrid, level: int, b) 
         w=_freeze(w),
         pi=_freeze(pi),
         H=_freeze(h_path),
-        V=_freeze(model.variance(pi)),
+        V=_freeze(model.variance(pi, h_path)),
         purity=_freeze(model.purity(pi, phi)),
         offdiag=_freeze(model.offdiag_norm(phi)),
     )
@@ -322,25 +320,24 @@ class FilterModel:
         return cdf.searchsorted(u, side="right")
 
     def posterior(self, t, xi, out=None):
-        """(pi, log normalizer). pi is a level-last view of a levels-first
-        array, out if given, so each pi[..., r] is one contiguous slab."""
+        """pi at (t, xi): a level-last view of a levels-first array, out if
+        given, so each pi[..., r] is one contiguous slab."""
         logw = _log_masses(self.log_p, self.energies, self.sigma, t, xi, out)
-        pi, log_z = _normalize_log(logw, logw)
-        return pi.transpose(*range(1, pi.ndim), 0), log_z
+        pi = _normalize_log(logw, logw)
+        return pi.transpose(*range(1, pi.ndim), 0)
 
     def phi(self, t, xi, pi=None, out=None) -> np.ndarray:
         """Phi_nm over the trailing pair axis (n < m pairs), from the
         posterior pi at (t, xi); out, if given, is the pairs-first array."""
         if pi is None:
-            pi, _ = self.posterior(t, xi)
+            pi = self.posterior(t, xi)
         return _phi_from_posterior(pi, self.p, self.pairs, out)
 
     def energy(self, pi, out=None) -> np.ndarray:
         return _level_dot(pi, self.energies, out)
 
-    def variance(self, pi, mean=None, out=None) -> np.ndarray:
-        if mean is None:
-            mean = self.energy(pi)
+    def variance(self, pi, mean, out=None) -> np.ndarray:
+        """V_t = sum_r pi_r E_r^2 - mean^2, with mean the energy of pi."""
         out = _level_dot(pi, self.energies**2, out)
         out -= mean * mean
         return out

@@ -215,7 +215,9 @@ def _run_chunk(cfg: RunConfig, model: FilterModel, times, check_idx, lo, hi):
     # sums: H, V, purity, pi_1..D, Phi per pair, their k squares, V_{i-1} V_i;
     # tile rows: the k values, then xi and, once xi is spent, V_{i-1}
     sums = np.zeros((2 * k + 1, n_times))
-    tile_buf = np.empty((k + 1) * c * TILE)
+    # einsum adds the paths in index order while the path axis is strided;
+    # two points wide at least, it is strided even in a one-point tile
+    tile_buf = np.empty((k + 1, c, max(TILE, 2)))
     check_pi = np.empty((c, len(check_idx), d))
     check_phi = np.empty((c, len(check_idx), n_pairs))
 
@@ -238,11 +240,11 @@ def _run_chunk(cfg: RunConfig, model: FilterModel, times, check_idx, lo, hi):
 
         for lead in range(start, stop, TILE):
             tail = min(lead + TILE, stop)
-            rows = tile_buf[:(k + 1) * c * (tail - lead)].reshape(k + 1, c, tail - lead)
+            rows = tile_buf[:, :, :tail - lead]
             t = times[lead:tail]
             xi = np.multiply(drift[:, None], t, out=rows[k])      # rows[k] is V_{i-1} below
             xi += b[:, lead - start:tail - start]
-            pi, _ = model.posterior(t, xi, out=rows[3:3 + d])     # (c, tile, D) view
+            pi = model.posterior(t, xi, out=rows[3:3 + d])        # (c, tile, D) view
             phi = model.phi(t, xi, pi, out=rows[3 + d:k])         # (c, tile, P) view
             h_path = model.energy(pi, out=rows[0])
             v_path = model.variance(pi, h_path, out=rows[1])
@@ -251,15 +253,9 @@ def _run_chunk(cfg: RunConfig, model: FilterModel, times, check_idx, lo, hi):
             prev[:, 0] = v_last
             prev[:, 1:] = v_path[:, :-1]
             v_last = v_path[:, -1].copy()
-            # each sum adds the paths in index order; einsum would add a lone
-            # time column pairwise, so that one is accumulated explicitly
-            if tail - lead == 1:
-                terms = np.concatenate([values, values * values, (prev * v_path)[None]])
-                sums[:, lead:tail] = np.add.accumulate(terms, axis=1)[:, -1]
-            else:
-                np.einsum("rct->rt", values, out=sums[:k, lead:tail])
-                np.einsum("rct,rct->rt", values, values, out=sums[k:2 * k, lead:tail])
-                np.einsum("ct,ct->t", prev, v_path, out=sums[2 * k, lead:tail])
+            np.einsum("rct->rt", values, out=sums[:k, lead:tail])
+            np.einsum("rct,rct->rt", values, values, out=sums[k:2 * k, lead:tail])
+            np.einsum("ct,ct->t", prev, v_path, out=sums[2 * k, lead:tail])
 
             inside = (check_idx >= lead) & (check_idx < tail)
             check_pi[:, inside] = pi[:, check_idx[inside] - lead]

@@ -197,12 +197,17 @@ class TestEnsemble:
         assert report["stderr_defined"] is False
         assert report["terminal"]["h_se"] is None
 
-    @pytest.mark.parametrize("instance", ["two_level", "three_level", "degenerate"])
-    @pytest.mark.parametrize("seed", [1, 7, 29])
-    def test_simulated_path_is_ensemble_path_zero(self, tmp_path, instance, seed):
+    @pytest.mark.parametrize("seed, instance, units", [
+        pytest.param(seed, instance, units, id=f"{seed}-{instance}{suffix}")
+        for units, suffix in (({}, ""), ({"sigma": 0.7, "hbar": 1.6}, "-off_unit"))
+        for seed in (1, 7, 29)
+        for instance in ("two_level", "three_level", "degenerate")
+    ])
+    def test_simulated_path_is_ensemble_path_zero(self, tmp_path, seed, instance, units):
         # simulate draws its level and noise from the generator of ensemble
-        # path 0, so a one-path ensemble's means are its series, digit for digit
-        cfg = write_config(tmp_path, instance=instance, seed=seed, checks=[])
+        # path 0, so a one-path ensemble's means are its series, digit for
+        # digit; off sigma = hbar = 1 this also pins where sigma enters xi
+        cfg = write_config(tmp_path, instance=instance, seed=seed, checks=[], **units)
         out = str(tmp_path)
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
         assert cli.main(["ensemble", "--config", cfg, "--out", out, "--paths", "1"]) == 0

@@ -594,6 +594,8 @@ class TestVarianceBound:
 
     def test_direct_arithmetic(self):
         assert variance_bound(0.25, 1.0, 12.0) == pytest.approx(0.0625)
+        # sigma enters squared: 0.25 / (1 + 0.25 * 2^2 * 1)
+        assert variance_bound(0.25, 2.0, 1.0) == pytest.approx(0.125)
 
     def test_time_zero(self):
         assert variance_bound(0.25, 2.0, 0.0) == pytest.approx(0.25)

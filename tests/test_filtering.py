@@ -116,20 +116,20 @@ class TestInformationProcess:
 class TestFilterWeights:
     # the filter weights are the posterior of FilterModel at one (t, xi)
     def test_time_zero_returns_priors(self):
-        pi, _ = FilterModel(RHO_B, SPEC3, sigma=1.0).posterior(0.0, 0.0)
+        pi = FilterModel(RHO_B, SPEC3, sigma=1.0).posterior(0.0, 0.0)
         assert np.allclose(pi, SPEC3.level_probabilities(RHO_B), atol=1e-14)
 
     def test_two_level_scalar_oracle(self):
         # direct evaluation: pi_2 = e^{1/2} / (1 + e^{1/2})
-        pi, _ = FilterModel(HALF, SPEC2, sigma=1.0).posterior(1.0, 1.0)
+        pi = FilterModel(HALF, SPEC2, sigma=1.0).posterior(1.0, 1.0)
         expected = np.exp(0.5) / (1.0 + np.exp(0.5))
         assert pi[1] == pytest.approx(expected, abs=1e-12)
         assert pi[1] == pytest.approx(0.62246, abs=5e-6)
 
     def test_large_observation_selects_top_level(self):
-        pi, log_z = FilterModel(RHO_B, SPEC3, sigma=1.0).posterior(2.0, 500.0)
+        pi = FilterModel(RHO_B, SPEC3, sigma=1.0).posterior(2.0, 500.0)
         assert pi[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.isfinite(pi)) and np.isfinite(log_z)
+        assert np.all(np.isfinite(pi))
 
     def test_probabilities_normalized(self):
         model = FilterModel(RHO_B, SPEC3, 1.0)
@@ -137,7 +137,7 @@ class TestFilterWeights:
         for _ in range(25):
             xi = float(rng.normal(scale=30.0))
             t = float(rng.uniform(0, 40))
-            pi, _ = model.posterior(t, xi)
+            pi = model.posterior(t, xi)
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(pi >= 0)
 
@@ -155,7 +155,7 @@ class TestNormalizeLog:
         rng = np.random.default_rng(d)
         logw = rng.standard_normal((d, 40, 30)) * 50.0
         logw[1, :5] = -np.inf                       # an unpopulated level
-        pi, log_z = _normalize_log(logw)
+        pi = _normalize_log(logw)
         trailing = np.ascontiguousarray(np.moveaxis(logw, 0, -1))
         top = np.max(trailing, axis=-1, keepdims=True)
         w = np.exp(trailing - top)
@@ -165,7 +165,6 @@ class TestNormalizeLog:
         if d < 8:
             assert np.array_equal(z, np.sum(w, axis=-1, keepdims=True))
         assert np.array_equal(np.moveaxis(pi, 0, -1), w / z)
-        assert np.array_equal(log_z, (top + np.log(z))[..., 0])
 
 
 class TestClosedFormState:
@@ -176,7 +175,7 @@ class TestClosedFormState:
     def test_energy_diagonal_initial_state_follows_weights(self):
         rho0 = np.diag([0.25, 0.25, 0.5]).astype(complex)
         out = closed_form_state(rho0, SPEC3, 1.0, 1.0, 0.7, 1.3)
-        pi, _ = FilterModel(rho0, SPEC3, 1.0).posterior(0.7, 1.3)
+        pi = FilterModel(rho0, SPEC3, 1.0).posterior(0.7, 1.3)
         assert np.allclose(np.diag(out).real, pi, atol=1e-12)
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-15
 
@@ -208,7 +207,7 @@ class TestClosedFormState:
             xi = closed_form_trajectory(model, grid, level, b_incr).xi
             w = recovered_brownian(model, grid, level, b_incr)
             traj = simulate_sme(RHO_B, SPEC3, 1.0, 1.0, grid, np.diff(w))
-            pi, log_z = model.posterior(times, xi)
+            pi = model.posterior(times, xi)
             exact = model.assemble(times, pi, model.phi(times, xi, pi))
             return float(np.max(np.abs(traj.states - exact)))
 
@@ -225,7 +224,7 @@ class TestClosedFormState:
 def energy_estimate(rho0, spec, sigma, t, xi):
     """Conditional energy sum_r pi_r(t) E_r at one observation."""
     model = FilterModel(rho0, spec, sigma)
-    return float(model.energy(model.posterior(t, xi)[0]))
+    return float(model.energy(model.posterior(t, xi)))
 
 
 class TestEnergyEstimate:
@@ -419,7 +418,7 @@ class TestCollapseStatistics:
         rng = np.random.default_rng(17)
         n, t = 2000, 150.0
         levels, xi = draw_terminal_xi(model, rng, t, n)
-        pi, _ = model.posterior(np.full(n, t), xi)
+        pi = model.posterior(np.full(n, t), xi)
         assert np.all(pi.max(axis=1) > 1.0 - 1e-6)
 
     def test_born_frequencies_and_terminal_moments(self):
@@ -427,7 +426,7 @@ class TestCollapseStatistics:
         rng = np.random.default_rng(18)
         n, t = 3000, 60.0
         levels, xi = draw_terminal_xi(model, rng, t, n)
-        pi, _ = model.posterior(np.full(n, t), xi)
+        pi = model.posterior(np.full(n, t), xi)
         outcome = np.argmax(pi, axis=1)
         for r in range(3):
             p = model.p[r]
@@ -442,7 +441,7 @@ class TestCollapseStatistics:
         n = 5000
         for t in (0.5, 3.0, 10.0):
             _, xi = draw_terminal_xi(model, rng, t, n)
-            pi, _ = model.posterior(np.full(n, t), xi)
+            pi = model.posterior(np.full(n, t), xi)
             for r in range(3):
                 se = pi[:, r].std(ddof=1) / np.sqrt(n)
                 assert abs(pi[:, r].mean() - model.p[r]) <= 3.5 * se
@@ -466,7 +465,7 @@ class TestClosedFormTrajectory:
         traj = closed_form_trajectory(model, grid, 2, noise)
         k = 7
         t, xi = grid.times()[k], float(traj.xi[k])
-        pi, _ = model.posterior(t, xi)
+        pi = model.posterior(t, xi)
         assert np.allclose(traj.pi[k], pi, atol=1e-12)
         state = closed_form_state(RHO_B, SPEC3, 1.0, 1.0, t, xi)
         assert traj.purity[k] == pytest.approx(np.vdot(state, state).real, abs=1e-10)

@@ -340,7 +340,7 @@ def _path_rows(cfg, model, grid, lo, hi):
         b = np.zeros(len(times))
         b[1:] = rng.standard_normal(grid.n_steps) * np.sqrt(cfg.dt)
         xi = cfg.sigma * model.energies[level] * times + np.cumsum(b)
-        pi, _ = model.posterior(times, xi)
+        pi = model.posterior(times, xi)
         phi = model.phi(times, xi, pi)
         h_path = model.energy(pi)
         yield np.vstack([h_path, model.variance(pi, h_path), model.purity(pi, phi), pi.T, phi.T])
@@ -388,11 +388,12 @@ class TestTimeBlocks:
                 assert _summary_bytes(run_ensemble(cfg)) == reference
 
     @pytest.mark.parametrize("instance", [two_level, three_level])
-    @pytest.mark.parametrize("tile", [1, 5, 64])
+    @pytest.mark.parametrize("tile", [1, 5, 32, 64])
     def test_paths_are_summed_in_index_order(self, instance, tile):
         # every path's rows are evaluated on the whole grid with the same
         # FilterModel calls and added one path after another; the kernel's
-        # sums must match that to the bit, the 1-path chunk included
+        # sums must match that to the bit, the 1-path chunk included, and so
+        # must a one-point tile: TILE = 32 ends the 33-point grid in one
         h, rho0 = instance()
         cfg = RunConfig(hamiltonian=h, rho0=rho0, t_max=3.2, dt=0.1, n_paths=513,
                         seed=5, checks=(), check_times=(1.0,))
